@@ -2,6 +2,15 @@
 // throughput (patterns/sec) against the scalar NetlistEvaluator on the
 // paper's circuits, plus the end-to-end serial fault-campaign speedup.
 //
+// A detection-table builder sweep follows: 48-, 512- and 4096-gate cone
+// blocks x k configurations per request, timed under each lane packing
+// (pattern-parallel, fault-parallel), with the packing the builder selects
+// for that request. Every table of both packings is compared byte for byte
+// with the scalar buildDetectionTable oracle (on the 4096-gate block, the
+// first kScalarChecksBig configurations only: the scalar oracle takes
+// seconds per configuration there); any mismatch exits 1. The sweep has no
+// speed floor.
+//
 // Usage:
 //   bench_packed_eval [--quick] [--json PATH]
 //
@@ -19,7 +28,9 @@
 
 #include "common.hpp"
 #include "core/rng.hpp"
+#include "fault/detection.hpp"
 #include "fault/serial_sim.hpp"
+#include "gate/family.hpp"
 #include "gate/generators.hpp"
 #include "gate/packed_eval.hpp"
 
@@ -126,6 +137,109 @@ Measurement campaignThroughput(const std::string& name,
   return m;
 }
 
+/// One cell of the table-builder sweep.
+struct TableCell {
+  std::string name;
+  std::size_t gates = 0;
+  std::size_t faults = 0;
+  std::size_t configs = 0;
+  double patternParallelMs = 0.0;
+  double faultParallelMs = 0.0;
+  const char* selected = "";
+  bool identical = true;
+};
+
+constexpr std::size_t kScalarChecksBig = 2;
+
+std::vector<std::uint8_t> tableBytes(const fault::DetectionTable& t) {
+  net::ByteBuffer buf;
+  t.serialize(buf);
+  return buf.bytes();
+}
+
+const char* packingName(fault::DetectionTableBuilder::Packing p) {
+  return p == fault::DetectionTableBuilder::Packing::FaultParallel
+             ? "fault-parallel"
+             : "pattern-parallel";
+}
+
+/// Median wall time (ms) of `reps` builds of `inputs` under `packing`; the
+/// last build's tables land in `out`.
+double buildMs(const fault::DetectionTableBuilder& builder,
+               const std::vector<Word>& inputs,
+               fault::DetectionTableBuilder::Packing packing, int reps,
+               std::vector<fault::DetectionTable>& out) {
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    ms.push_back(
+        1e3 * secondsOf([&] { out = builder.build(inputs, packing); }));
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+/// Cone block of `gates` gates (the matrix cone shape: 8 inputs, 4
+/// outputs) under the provider fault policy, swept over `counts`.
+std::vector<TableCell> tableSweep(int gates,
+                                  const std::vector<std::size_t>& counts) {
+  using Packing = fault::DetectionTableBuilder::Packing;
+  const gate::Netlist nl = gate::makeRandomCone(7 * 1000003ULL, 8, gates, 4);
+  const fault::CollapsedFaults collapsed =
+      fault::collapseAll(nl, true, /*includePrimaryInputs=*/false,
+                         /*includePrimaryOutputNets=*/false);
+  const fault::DetectionTableBuilder builder(nl, collapsed);
+  const gate::NetlistEvaluator eval(nl);
+  const std::size_t maxK = *std::max_element(counts.begin(), counts.end());
+  const auto inputs = randomPatterns(nl.inputCount(), maxK, 0x7ab1e);
+  const std::size_t scalarChecks =
+      gates >= 4096 ? std::min(kScalarChecksBig, maxK) : maxK;
+  std::vector<std::vector<std::uint8_t>> scalar;
+  for (std::size_t i = 0; i < scalarChecks; ++i) {
+    scalar.push_back(
+        tableBytes(fault::buildDetectionTable(eval, collapsed, inputs[i])));
+  }
+
+  std::vector<TableCell> cells;
+  for (const std::size_t k : counts) {
+    TableCell c;
+    c.name = "tables/cone" + std::to_string(gates) + "/k" + std::to_string(k);
+    c.gates = static_cast<std::size_t>(nl.gateCount());
+    c.faults = collapsed.size();
+    c.configs = k;
+    c.selected = packingName(fault::DetectionTableBuilder::packingFor(
+        std::min<std::size_t>(k, gate::PackedEvaluator::kLanes),
+        collapsed.size()));
+    const std::vector<Word> request(inputs.begin(),
+                                    inputs.begin() + static_cast<long>(k));
+    const int reps = gates >= 4096 ? 1 : 3;
+    std::vector<fault::DetectionTable> pp, fp;
+    c.patternParallelMs =
+        buildMs(builder, request, Packing::PatternParallel, reps, pp);
+    c.faultParallelMs =
+        buildMs(builder, request, Packing::FaultParallel, reps, fp);
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto ppBytes = tableBytes(pp[i]);
+      const bool same = ppBytes == tableBytes(fp[i]) &&
+                        (i >= scalar.size() || ppBytes == scalar[i]);
+      c.identical = c.identical && same;
+    }
+    cells.push_back(c);
+  }
+  return cells;
+}
+
+void printTableSweep(const std::vector<TableCell>& cells) {
+  std::printf("\n%-22s %6s %6s %4s %12s %12s %-16s %5s\n", "table builder",
+              "gates", "faults", "k", "pattern ms", "fault ms", "selected",
+              "ident");
+  for (const TableCell& c : cells) {
+    std::printf("%-22s %6zu %6zu %4zu %12.3f %12.3f %-16s %5s\n",
+                c.name.c_str(), c.gates, c.faults, c.configs,
+                c.patternParallelMs, c.faultParallelMs, c.selected,
+                c.identical ? "YES" : "NO");
+  }
+}
+
 void printTable(const std::vector<Measurement>& rows) {
   std::printf("\n%-28s %8s %9s %14s %14s %9s\n", "benchmark", "gates",
               "patterns", "scalar pat/s", "packed pat/s", "speedup");
@@ -136,7 +250,8 @@ void printTable(const std::vector<Measurement>& rows) {
   }
 }
 
-void writeJson(const std::string& path, const std::vector<Measurement>& rows) {
+void writeJson(const std::string& path, const std::vector<Measurement>& rows,
+               const std::vector<TableCell>& cells) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -151,7 +266,19 @@ void writeJson(const std::string& path, const std::vector<Measurement>& rows) {
                  "\"packed_patterns_per_sec\": %.1f, \"speedup\": %.2f}%s\n",
                  m.name.c_str(), m.gates, m.patterns, m.scalarPatternsPerSec,
                  m.packedPatternsPerSec, m.speedup(),
-                 i + 1 < rows.size() ? "," : "");
+                 i + 1 < rows.size() || !cells.empty() ? "," : "");
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const TableCell& c = cells[i];
+    std::fprintf(f,
+                 "  {\"name\": \"%s\", \"gates\": %zu, \"faults\": %zu, "
+                 "\"configs\": %zu, \"pattern_parallel_ms\": %.4f, "
+                 "\"fault_parallel_ms\": %.4f, \"selected\": \"%s\", "
+                 "\"identical\": %s}%s\n",
+                 c.name.c_str(), c.gates, c.faults, c.configs,
+                 c.patternParallelMs, c.faultParallelMs, c.selected,
+                 c.identical ? "true" : "false",
+                 i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -204,8 +331,24 @@ int main(int argc, char** argv) {
   }
 
   printTable(rows);
-  if (!jsonPath.empty()) writeJson(jsonPath, rows);
+
+  const std::vector<std::size_t> counts = {1, 4, 16, 64};
+  std::vector<TableCell> cells;
+  for (const int gates : {48, 512, 4096}) {
+    for (TableCell& c : tableSweep(gates, counts)) cells.push_back(c);
+  }
+  printTableSweep(cells);
+
+  if (!jsonPath.empty()) writeJson(jsonPath, rows, cells);
   if (!obsPrefix.empty()) writeObsArtifacts(obsPrefix);
+
+  for (const TableCell& c : cells) {
+    if (!c.identical) {
+      std::fprintf(stderr, "FAIL: %s tables differ between packings or from "
+                   "the scalar builder\n", c.name.c_str());
+      return 1;
+    }
+  }
 
   // Acceptance gate: the packed engine must be >= 10x scalar on the paper's
   // 16-bit multiplier (raw evaluation throughput).

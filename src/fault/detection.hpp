@@ -63,13 +63,55 @@ DetectionTable buildDetectionTable(const gate::NetlistEvaluator& eval,
                                    const CollapsedFaults& collapsed,
                                    const Word& inputs);
 
-/// Batched provider-side construction on the packed bit-parallel engine: the
-/// input configurations are packed 64 to a block, so each collapsed fault is
-/// simulated once per block instead of once per configuration. The returned
-/// tables (one per input, same order) are identical to calling
-/// buildDetectionTable per configuration.
-std::vector<DetectionTable> buildDetectionTables(
-    const gate::PackedEvaluator& packed, const CollapsedFaults& collapsed,
-    const std::vector<Word>& inputs);
+/// Batched provider-side construction on the packed bit-parallel engine.
+/// One builder serves one component: the collapsed faults' symbolic names
+/// and their order by driver position are worked out once at construction,
+/// so a request pays only for simulation. The builder is immutable and
+/// keeps its scratch per call, so concurrent requests may share it.
+///
+/// Configurations are taken in chunks of up to 64, and each chunk fills the
+/// 64 lanes one of two ways:
+///   - pattern-parallel: one configuration per lane, one pass per fault;
+///   - fault-parallel: one configuration broadcast to every lane, 64 faults
+///     (one per lane, in driver order) per pass.
+/// Either way each pass re-evaluates only the gates from its earliest fault
+/// driver onwards, over the golden run. The tables are byte-identical to
+/// buildDetectionTable per configuration, which stays the reference oracle.
+class DetectionTableBuilder {
+ public:
+  enum class Packing { PatternParallel, FaultParallel };
+
+  /// `netlist` must outlive the builder.
+  DetectionTableBuilder(const gate::Netlist& netlist,
+                        const CollapsedFaults& collapsed);
+
+  /// Symbolic names of the collapsed faults, in representative order: the
+  /// component's published fault list.
+  const std::vector<std::string>& symbols() const { return symbols_; }
+
+  /// The packing that takes fewer faulty passes for a chunk of `lanes`
+  /// configurations against `faults` collapsed faults: fault-parallel when
+  /// lanes * ceil(faults / 64) < faults.
+  static Packing packingFor(std::size_t lanes, std::size_t faults);
+
+  /// One table per configuration, in order; every chunk takes packingFor's
+  /// packing.
+  std::vector<DetectionTable> build(const std::vector<Word>& inputs) const;
+
+  /// The same tables with every chunk forced to `packing` (differential
+  /// tests and the packing sweep of bench_packed_eval).
+  std::vector<DetectionTable> build(const std::vector<Word>& inputs,
+                                    Packing packing) const;
+
+ private:
+  std::vector<DetectionTable> buildChunks(const std::vector<Word>& inputs,
+                                          const Packing* forced) const;
+
+  gate::PackedEvaluator packed_;
+  std::vector<std::string> symbols_;
+  // Faults sorted by driver position, and the symbol index of each.
+  std::vector<gate::LaneForce> order_;
+  std::vector<std::uint32_t> orderSymbol_;
+};
 
 }  // namespace vcad::fault

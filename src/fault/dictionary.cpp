@@ -34,7 +34,8 @@ FaultDictionary FaultDictionary::build(
   FaultDictionary d;
   d.inputBits_ = n;
   d.digest_ = cache::netlistDigest(netlist);
-  d.faultList_ = symbolicFaultList(netlist, collapsed);
+  const DetectionTableBuilder builder(netlist, collapsed);
+  d.faultList_ = builder.symbols();
   const std::uint64_t configs = 1ULL << n;
   std::vector<Word> inputs;
   inputs.reserve(configs);
@@ -60,9 +61,7 @@ FaultDictionary FaultDictionary::build(
       }
     }
     if (!missing.empty()) {
-      const gate::PackedEvaluator packed(netlist);
-      std::vector<DetectionTable> built =
-          buildDetectionTables(packed, collapsed, missing);
+      std::vector<DetectionTable> built = builder.build(missing);
       for (std::size_t j = 0; j < built.size(); ++j) {
         net::ByteBuffer buf;
         built[j].serialize(buf);
@@ -74,9 +73,7 @@ FaultDictionary FaultDictionary::build(
     return d;
   }
 
-  // Packed construction: 64 configurations characterized per fault pass.
-  const gate::PackedEvaluator packed(netlist);
-  d.tables_ = buildDetectionTables(packed, collapsed, inputs);
+  d.tables_ = builder.build(inputs);
   return d;
 }
 

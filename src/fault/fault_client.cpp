@@ -54,20 +54,20 @@ LocalFaultBlock::LocalFaultBlock(gate::NetlistModule& module, bool dominance,
     : module_(module),
       collapsed_(collapseAll(module.netlist(), dominance, scope.includeInputs,
                              scope.includeOutputs)),
-      packed_(module.netlist()),
+      tables_(module.netlist(), collapsed_),
       digest_(cache::netlistDigest(module.netlist())) {}
 
 std::vector<std::string> LocalFaultBlock::faultList() {
-  return symbolicFaultList(module_.netlist(), collapsed_);
+  return tables_.symbols();
 }
 
 DetectionTable LocalFaultBlock::detectionTable(const Word& inputs) {
-  return std::move(buildDetectionTables(packed_, collapsed_, {inputs})[0]);
+  return std::move(tables_.build({inputs})[0]);
 }
 
 std::vector<DetectionTable> LocalFaultBlock::detectionTables(
     const std::vector<Word>& inputs) {
-  return buildDetectionTables(packed_, collapsed_, inputs);
+  return tables_.build(inputs);
 }
 
 }  // namespace vcad::fault

@@ -78,8 +78,8 @@ class LocalFaultBlock final : public FaultClient {
   std::vector<std::string> faultList() override;
   DetectionTable detectionTable(const Word& inputs) override;
 
-  /// Batched tables on the packed bit-parallel engine: the buffered inputs
-  /// are evaluated 64 to a pass, one pass per collapsed fault per block.
+  /// Batched tables on the packed bit-parallel engine (see
+  /// DetectionTableBuilder).
   std::vector<DetectionTable> detectionTables(
       const std::vector<Word>& inputs) override;
 
@@ -90,7 +90,7 @@ class LocalFaultBlock final : public FaultClient {
  private:
   gate::NetlistModule& module_;
   CollapsedFaults collapsed_;
-  gate::PackedEvaluator packed_;
+  DetectionTableBuilder tables_;
   std::uint64_t digest_ = 0;
 };
 

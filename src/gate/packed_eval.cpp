@@ -58,10 +58,22 @@ PackedEvaluator::InputBlock PackedEvaluator::pack(
 
 namespace {
 
-inline void force(LanePlanes& p, Logic stuck) {
-  p.known = ~0ULL;
-  p.val = stuck == Logic::L1 ? ~0ULL : 0ULL;
-  p.z = 0;
+inline void force(LanePlanes& p, const LaneForce& f) {
+  p.known |= f.lanes;
+  p.val = f.stuck == Logic::L1 ? (p.val | f.lanes) : (p.val & ~f.lanes);
+  p.z &= ~f.lanes;
+}
+
+/// Lanes where two nets' planes differ. Canonical planes make value identity
+/// plane identity, so a lane differs iff any plane bit differs — exactly
+/// Word::operator!= per lane.
+inline std::uint64_t differingLanes(const LanePlanes& a, const LanePlanes& b) {
+  return (a.val ^ b.val) | (a.known ^ b.known) | (a.z ^ b.z);
+}
+
+inline std::uint64_t lowLanes(std::uint64_t mask, int lanes) {
+  if (lanes >= PackedEvaluator::kLanes) return mask;
+  return mask & ((1ULL << lanes) - 1);
 }
 
 }  // namespace
@@ -77,14 +89,29 @@ void PackedEvaluator::evaluate(const InputBlock& in,
   for (std::size_t i = 0; i < pis.size(); ++i) {
     planes[static_cast<std::size_t>(pis[i])] = in.pi[i];
   }
-  std::int32_t forceAfter = -2;  // compiled gate index to force after
-  if (fault != nullptr) {
-    forceAfter = driverPos_[static_cast<std::size_t>(fault->net)];
-    if (forceAfter < 0) force(planes[static_cast<std::size_t>(fault->net)],
-                              fault->stuck);
+  if (fault == nullptr) {
+    evaluateFrom(planes, 0, {});
+  } else {
+    const LaneForce f = forceOf(*fault);
+    evaluateFrom(planes, 0, {&f, 1});
   }
-  const std::size_t nGates = op_.size();
-  for (std::size_t g = 0; g < nGates; ++g) {
+}
+
+void PackedEvaluator::evaluateFrom(std::vector<LanePlanes>& planes,
+                                   int fromPos,
+                                   std::span<const LaneForce> forces) const {
+  const int nGates = static_cast<int>(op_.size());
+  if (planes.size() != static_cast<std::size_t>(nl_->netCount()) ||
+      fromPos < 0 || fromPos > nGates) {
+    throw std::invalid_argument("PackedEvaluator::evaluateFrom: bad range");
+  }
+  auto nextForce = forces.begin();
+  for (; nextForce != forces.end() && nextForce->pos < fromPos; ++nextForce) {
+    force(planes[static_cast<std::size_t>(nextForce->net)], *nextForce);
+  }
+  // Compiled position to force after; -1 never matches.
+  std::int32_t forceAfter = nextForce != forces.end() ? nextForce->pos : -1;
+  for (int g = fromPos; g < nGates; ++g) {
     const std::int32_t* ins = inNets_.data() + inBegin_[g];
     const int n = inBegin_[g + 1] - inBegin_[g];
     std::uint64_t v = 0, k = 0;
@@ -151,8 +178,15 @@ void PackedEvaluator::evaluate(const InputBlock& in,
     out.val = v;
     out.known = k;
     out.z = 0;
-    if (static_cast<std::int32_t>(g) == forceAfter) {
-      force(planes[static_cast<std::size_t>(fault->net)], fault->stuck);
+    if (g == forceAfter) {
+      for (; nextForce != forces.end() && nextForce->pos == g; ++nextForce) {
+        force(planes[static_cast<std::size_t>(nextForce->net)], *nextForce);
+      }
+      forceAfter = nextForce != forces.end() ? nextForce->pos : -1;
+      if (forceAfter >= 0 && forceAfter <= g) {
+        throw std::invalid_argument(
+            "PackedEvaluator::evaluateFrom: forces not sorted by position");
+      }
     }
   }
 }
@@ -180,14 +214,30 @@ std::uint64_t PackedEvaluator::outputDiffMask(
     int lanes) const {
   std::uint64_t diff = 0;
   for (NetId po : nl_->primaryOutputs()) {
-    const LanePlanes& pa = a[static_cast<std::size_t>(po)];
-    const LanePlanes& pb = b[static_cast<std::size_t>(po)];
-    // Canonical planes make value identity plane identity, so a lane differs
-    // iff any plane bit differs — exactly Word::operator!=.
-    diff |= (pa.val ^ pb.val) | (pa.known ^ pb.known) | (pa.z ^ pb.z);
+    diff |= differingLanes(a[static_cast<std::size_t>(po)],
+                           b[static_cast<std::size_t>(po)]);
   }
-  if (lanes >= kLanes) return diff;
-  return diff & ((1ULL << lanes) - 1);
+  return lowLanes(diff, lanes);
+}
+
+void PackedEvaluator::outputPlanes(const std::vector<LanePlanes>& planes,
+                                   std::vector<LanePlanes>& outputs) const {
+  outputs.clear();
+  for (NetId po : nl_->primaryOutputs()) {
+    outputs.push_back(planes[static_cast<std::size_t>(po)]);
+  }
+}
+
+std::uint64_t PackedEvaluator::outputDiffMaskFrom(
+    const std::vector<LanePlanes>& outputs,
+    const std::vector<LanePlanes>& planes, int lanes) const {
+  const auto& pos = nl_->primaryOutputs();
+  std::uint64_t diff = 0;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    diff |=
+        differingLanes(outputs[i], planes[static_cast<std::size_t>(pos[i])]);
+  }
+  return lowLanes(diff, lanes);
 }
 
 }  // namespace vcad::gate

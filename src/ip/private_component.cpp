@@ -7,11 +7,11 @@ PrivateComponent::PrivateComponent(std::shared_ptr<const gate::Netlist> netlist,
                                    int computeScale)
     : netlist_(std::move(netlist)),
       evaluator_(*netlist_),
-      packed_(*netlist_),
       tech_(tech),
-      collapsed_(fault::collapseAll(*netlist_, dominance,
-                                    /*includePrimaryInputs=*/false,
-                                    /*includePrimaryOutputNets=*/false)),
+      tables_(*netlist_,
+              fault::collapseAll(*netlist_, dominance,
+                                 /*includePrimaryInputs=*/false,
+                                 /*includePrimaryOutputNets=*/false)),
       computeScale_(computeScale < 1 ? 1 : computeScale) {}
 
 Word PrivateComponent::eval(const Word& inputs) {
@@ -55,17 +55,17 @@ double PrivateComponent::areaUm2() const {
 }
 
 std::vector<std::string> PrivateComponent::faultList() const {
-  return fault::symbolicFaultList(*netlist_, collapsed_);
+  return tables_.symbols();
 }
 
 fault::DetectionTable PrivateComponent::detectionTable(
     const Word& inputs) const {
-  return std::move(fault::buildDetectionTables(packed_, collapsed_, {inputs})[0]);
+  return std::move(tables_.build({inputs})[0]);
 }
 
 std::vector<fault::DetectionTable> PrivateComponent::detectionTables(
     const std::vector<Word>& inputs) const {
-  return fault::buildDetectionTables(packed_, collapsed_, inputs);
+  return tables_.build(inputs);
 }
 
 std::size_t PrivateComponent::evalCount() const {

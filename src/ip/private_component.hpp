@@ -48,8 +48,9 @@ class PrivateComponent {
   fault::DetectionTable detectionTable(const Word& inputs) const;
 
   /// Phase-2 data, batched: one table per buffered input configuration, in
-  /// order, built on the packed bit-parallel engine (64 configurations per
-  /// fault pass). Identical to calling detectionTable() per entry.
+  /// order, built on the packed bit-parallel engine (see
+  /// fault::DetectionTableBuilder). Identical to calling detectionTable()
+  /// per entry. Safe to call concurrently.
   std::vector<fault::DetectionTable> detectionTables(
       const std::vector<Word>& inputs) const;
 
@@ -59,9 +60,8 @@ class PrivateComponent {
  private:
   std::shared_ptr<const gate::Netlist> netlist_;
   gate::NetlistEvaluator evaluator_;
-  gate::PackedEvaluator packed_;
   gate::TechParams tech_;
-  fault::CollapsedFaults collapsed_;
+  fault::DetectionTableBuilder tables_;
   int computeScale_;
 
   mutable std::mutex mutex_;

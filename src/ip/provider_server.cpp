@@ -638,8 +638,9 @@ Response ProviderServer::execute(const Request& request,
             "no dynamic testability model for " + inst->component);
       }
       // Batched variant: one table per buffered input configuration, one
-      // message pair total, built in one packed bit-parallel sweep (64
-      // configurations per fault pass) server-side. Fees are identical to
+      // message pair total, built server-side by the component's packed
+      // DetectionTableBuilder (configurations or faults fill the 64 lanes,
+      // whichever takes fewer passes). Fees are identical to
       // the per-table method — batching saves round trips, not licensing
       // cost — and a warm store hit charges exactly the same: the fee
       // licenses the detection data, not the provider's CPU time.

@@ -13,7 +13,9 @@
 #include "fault/parallel_campaign.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
+#include "gate/family.hpp"
 #include "gate/generators.hpp"
+#include "obs/metrics.hpp"
 
 namespace vcad::fault {
 namespace {
@@ -81,34 +83,125 @@ TEST(PackedSerialCampaign, BitIdenticalOnRandomNetlistsWithUnknowns) {
   }
 }
 
+std::vector<std::uint8_t> bytesOf(const DetectionTable& t) {
+  net::ByteBuffer buf;
+  t.serialize(buf);
+  return buf.bytes();
+}
+
+/// A block of the builder sweep: its fault universe and how often a
+/// configuration bit is X or Z.
+struct SweepBlock {
+  std::string name;
+  Netlist nl;
+  CollapsedFaults collapsed;
+  int unknownPct = 0;
+};
+
+/// Provider policy: internal faults only.
+CollapsedFaults internalFaults(const Netlist& nl) {
+  return collapseAll(nl, true, /*includePrimaryInputs=*/false,
+                     /*includePrimaryOutputNets=*/false);
+}
+
+/// The 512-gate cone block the tenant-mix benchmark serves:
+/// makeBigConeDesign(seed 7, ..., 512)'s block `b` (same generator, same
+/// block seed), provider fault policy.
+Netlist tenantMixCone(int b) {
+  return gate::makeRandomCone(7 * 1000003ULL + static_cast<std::uint64_t>(b),
+                              8, 512, 4);
+}
+
 TEST(PackedDetectionTables, BatchMatchesScalarBuilderPerConfig) {
   Rng rng(0x5eed03);
+  std::vector<SweepBlock> blocks;
   for (int trial = 0; trial < 6; ++trial) {
     Rng gen(rng.next());
-    const Netlist nl = gate::makeRandomNetlist(
+    Netlist nl = gate::makeRandomNetlist(
         gen, 4 + static_cast<int>(rng.below(4)), 25, 2);
-    const gate::NetlistEvaluator eval(nl);
-    const gate::PackedEvaluator packed(nl);
-    const CollapsedFaults collapsed = collapseAll(nl);
-    // More than one block, with X/Z-carrying configurations mixed in.
-    const auto inputs =
-        randomPatterns(rng, nl.inputCount(), 70, trial % 2 == 0 ? 0 : 30);
+    // The full universe: PI and PO faults included.
+    CollapsedFaults collapsed = collapseAll(nl, trial % 3 != 0);
+    blocks.push_back({"random" + std::to_string(trial), std::move(nl),
+                      std::move(collapsed), trial % 2 == 0 ? 0 : 30});
+  }
+  {
+    Netlist cone = tenantMixCone(0);
+    CollapsedFaults collapsed = internalFaults(cone);
+    blocks.push_back({"cone512", std::move(cone), std::move(collapsed), 10});
+  }
+  {
+    Netlist mult4 = gate::makeArrayMultiplier(4);
+    CollapsedFaults collapsed = collapseAll(mult4);
+    blocks.push_back({"mult4.all", std::move(mult4), std::move(collapsed), 20});
+  }
+  {
+    Netlist mult8 = gate::makeArrayMultiplier(8);
+    CollapsedFaults collapsed = internalFaults(mult8);
+    blocks.push_back({"mult8", std::move(mult8), std::move(collapsed), 5});
+  }
+  {
+    // An inverter has no internal net: the provider publishes no fault.
+    Netlist inv;
+    const NetId a = inv.addInput("a");
+    inv.markOutput(inv.addGate(gate::GateType::Not, {a}, "y"));
+    CollapsedFaults collapsed = internalFaults(inv);
+    ASSERT_EQ(collapsed.size(), 0u);
+    blocks.push_back({"empty", std::move(inv), std::move(collapsed), 30});
+  }
 
-    const auto tables = buildDetectionTables(packed, collapsed, inputs);
-    ASSERT_EQ(tables.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const DetectionTable scalar =
-          buildDetectionTable(eval, collapsed, inputs[i]);
-      EXPECT_EQ(tables[i].inputs(), scalar.inputs());
-      EXPECT_EQ(tables[i].faultFreeOutput(), scalar.faultFreeOutput());
-      ASSERT_EQ(tables[i].rows().size(), scalar.rows().size()) << i;
-      for (std::size_t r = 0; r < scalar.rows().size(); ++r) {
-        EXPECT_EQ(tables[i].rows()[r].faultyOutput,
-                  scalar.rows()[r].faultyOutput);
-        EXPECT_EQ(tables[i].rows()[r].faults, scalar.rows()[r].faults);
+  using Packing = DetectionTableBuilder::Packing;
+  const std::size_t kCounts[] = {0, 1, 2, 63, 64, 65, 129};
+  for (const SweepBlock& b : blocks) {
+    const gate::NetlistEvaluator eval(b.nl);
+    const DetectionTableBuilder builder(b.nl, b.collapsed);
+    const auto inputs =
+        randomPatterns(rng, b.nl.inputCount(), 129, b.unknownPct);
+    std::vector<std::vector<std::uint8_t>> scalar;
+    for (const Word& in : inputs) {
+      scalar.push_back(bytesOf(buildDetectionTable(eval, b.collapsed, in)));
+    }
+    for (const std::size_t k : kCounts) {
+      const std::vector<Word> prefix(inputs.begin(),
+                                     inputs.begin() + static_cast<long>(k));
+      const std::vector<DetectionTable> runs[] = {
+          builder.build(prefix),
+          builder.build(prefix, Packing::PatternParallel),
+          builder.build(prefix, Packing::FaultParallel)};
+      for (int r = 0; r < 3; ++r) {
+        ASSERT_EQ(runs[r].size(), k);
+        for (std::size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(bytesOf(runs[r][i]), scalar[i])
+              << b.name << " k=" << k << " run=" << r << " config=" << i;
+        }
       }
     }
   }
+}
+
+TEST(PackedDetectionTables, LaneCountersRecordPackedLaneUse) {
+  const Netlist cone = tenantMixCone(0);
+  const CollapsedFaults collapsed = internalFaults(cone);
+  ASSERT_EQ(collapsed.size(), 732u);
+  const DetectionTableBuilder builder(cone, collapsed);
+  Rng rng(0x5eed05);
+  const std::vector<Word> one = randomPatterns(rng, 8, 1);
+  const std::vector<Word> full = randomPatterns(rng, 8, 64);
+
+  const auto delta = [&](const std::vector<Word>& inputs) {
+    const auto before = obs::Registry::global().snapshot();
+    builder.build(inputs);
+    const auto after = obs::Registry::global().snapshot();
+    return std::pair{after.counterOr("fault.table.passes") -
+                         before.counterOr("fault.table.passes"),
+                     after.counterOr("fault.table.lanes_used") -
+                         before.counterOr("fault.table.lanes_used")};
+  };
+  if (!obs::kObsCompiledIn) GTEST_SKIP() << "observability compiled out";
+  // One configuration: fault-parallel, 732 faults in ceil(732/64) passes.
+  EXPECT_EQ(delta(one), std::pair(std::uint64_t{12}, std::uint64_t{732}));
+  // A full chunk: pattern-parallel, one 64-lane pass per fault.
+  EXPECT_EQ(delta(full),
+            std::pair(std::uint64_t{732}, std::uint64_t{732 * 64}));
 }
 
 TEST(PackedDictionary, BuildMatchesScalarTablePerConfiguration) {

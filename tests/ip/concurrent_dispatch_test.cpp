@@ -24,7 +24,9 @@
 #include <thread>
 #include <vector>
 
+#include "fault/detection.hpp"
 #include "gate/generators.hpp"
+#include "ip/private_component.hpp"
 #include "ip/multi_tenant_server.hpp"
 #include "net/socket_transport.hpp"
 #include "rmi/channel.hpp"
@@ -277,6 +279,59 @@ TEST(ConcurrentDispatch, NThreadHammeringIsBitIdenticalToSerial) {
     }
   }
   EXPECT_EQ(concurrent.liveInstanceCount(), serial.liveInstanceCount());
+}
+
+// ---------------------------------------------------------------------------
+// One component's detection-table builder shared by concurrent requests:
+// the builder keeps its scratch per call, so threads building at once each
+// get exactly the scalar oracle's table.
+// ---------------------------------------------------------------------------
+
+TEST(ConcurrentDispatch, ConcurrentDetectionTablesOnOneComponentMatchOracle) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 8;
+  const auto nl =
+      std::make_shared<const gate::Netlist>(gate::makeArrayMultiplier(6));
+  const PrivateComponent component(nl);
+  const gate::NetlistEvaluator eval(*nl);
+  const fault::CollapsedFaults collapsed =
+      fault::collapseAll(*nl, true, /*includePrimaryInputs=*/false,
+                         /*includePrimaryOutputNets=*/false);
+  const auto bytesOf = [](const fault::DetectionTable& t) {
+    net::ByteBuffer buf;
+    t.serialize(buf);
+    return buf.bytes();
+  };
+
+  std::vector<std::vector<Word>> configs(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      configs[t].push_back(Word::fromUint(
+          nl->inputCount(), (t * kPerThread + i) * 0x9e5 & 0xfff));
+    }
+  }
+  std::vector<std::vector<std::vector<std::uint8_t>>> actual(kThreads);
+  Gate gate(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      gate.wait();
+      for (const Word& in : configs[t]) {
+        actual[t].push_back(bytesOf(component.detectionTable(in)));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(actual[t].size(), configs[t].size());
+    for (std::size_t i = 0; i < configs[t].size(); ++i) {
+      EXPECT_EQ(actual[t][i],
+                bytesOf(fault::buildDetectionTable(eval, collapsed,
+                                                   configs[t][i])))
+          << "thread " << t << " config " << configs[t][i].toString();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
