@@ -9,7 +9,10 @@
 //      no collapsing / equivalence only / equivalence + dominance.
 //   3. Network-profile sweep for the remote case: what detection-table
 //      traffic costs over localhost / LAN / WAN.
-//   4. (--cache) Result-store cold/warm sweep: the same remote campaign
+//   4. Static fault dictionary vs the dynamic protocol.
+//   5. Batch sweep: detection-table round trips of the remote campaign as
+//      setBatchSize() buffers more patterns per request.
+//   --cache: Result-store cold/warm sweep: the same remote campaign
 //      against a fresh provider with an empty shared store (cold) and a
 //      fresh provider re-attached to the warmed store (warm), plus an
 //      uncached baseline. Reports hit rate and end-to-end speedup per
@@ -18,13 +21,11 @@
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "cache/result_store.hpp"
 #include "common.hpp"
 #include "fault/block_design.hpp"
 #include "fault/dictionary.hpp"
-#include "fault/parallel_campaign.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 
@@ -253,77 +254,16 @@ void staticVsDynamic() {
               "traffic stays bounded by the patterns actually applied)\n");
 }
 
-/// A heavier design for the thread sweep: two chained 4-bit multipliers and
-/// a parity tree. Large per-block fault lists mean hundreds of injection
-/// jobs per early pattern — enough work to shard across a pool.
-BlockDesign makeHeavyDesign() {
-  BlockDesign d;
-  for (int i = 0; i < 8; ++i) d.addPrimaryInput("pi" + std::to_string(i));
-  const int m1 = d.addBlock("M1", share(gate::makeArrayMultiplier(4)));
-  const int m2 = d.addBlock("M2", share(gate::makeArrayMultiplier(4)));
-  const int par = d.addBlock("PAR", share(gate::makeParityTree(8)));
-  for (int i = 0; i < 8; ++i) d.connect({-1, i}, m1, i);
-  for (int i = 0; i < 8; ++i) d.connect({m1, i}, m2, i);
-  for (int i = 0; i < 8; ++i) d.connect({m2, i}, par, i);
-  for (int i = 0; i < 8; ++i) d.markPrimaryOutput(m2, i);
-  d.markPrimaryOutput(par, 0, "PARITY");
-  return d;
-}
-
-void parallelCampaignSweep() {
-  // --- thread sweep: injection wall time on a heavy three-block design ----
-  const BlockDesign d = makeHeavyDesign();
-  auto inst = d.instantiate();
-  std::vector<std::unique_ptr<fault::LocalFaultBlock>> clients;
-  for (int b = 0; b < d.blockCount(); ++b) {
-    clients.push_back(std::make_unique<fault::LocalFaultBlock>(
-        *inst.blockModules[static_cast<size_t>(b)], true,
-        fault::FaultScope{false, true}));
-  }
-  std::vector<fault::FaultClient*> comps;
-  for (auto& c : clients) comps.push_back(c.get());
-  const auto pats = patterns(d.primaryInputCount(), 64);
-
-  fault::CampaignResult sres;
-  const double serialWall = wallOf([&] {
-    fault::VirtualFaultSimulator vsim(*inst.circuit, comps, inst.piConns,
-                                      inst.poConns);
-    sres = vsim.runPacked(pats);
-  });
-
-  std::printf("\n[5] parallel campaign: thread sweep (64 patterns, %zu "
-              "faults, %llu serial injections, serial engine = %.1f ms, "
-              "host has %u hardware threads)\n",
-              sres.faultList.size(),
-              static_cast<unsigned long long>(sres.injections),
-              serialWall * 1e3, std::thread::hardware_concurrency());
-  std::printf("    %-8s | %10s | %8s | %10s | %9s\n", "threads",
-              "wall (ms)", "speedup", "injections", "identical");
-  printRule(60);
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    fault::ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = 4;
-    fault::CampaignResult pres;
-    const double wall = wallOf([&] {
-      fault::ParallelFaultSimulator psim(*inst.circuit, comps, inst.piConns,
-                                         inst.poConns, cfg);
-      pres = psim.runPacked(pats);
-    });
-    const bool identical = pres.detected == sres.detected &&
-                           pres.detectedAfterPattern == sres.detectedAfterPattern;
-    std::printf("    %8zu | %10.1f | %7.2fx | %10llu | %9s\n", threads,
-                wall * 1e3, serialWall / wall,
-                static_cast<unsigned long long>(pres.injections),
-                identical ? "YES" : "NO");
-  }
-
-  // --- batch sweep: WAN round trips for the remote multiplier IP ----------
-  std::printf("\n[6] parallel campaign: GetDetectionTables batch sweep "
+void batchSweep() {
+  // WAN round trips for the remote multiplier IP as the campaign buffers
+  // more patterns per GetDetectionTables request.
+  std::printf("\n[5] campaign batch sweep: detection-table round trips "
               "(16 patterns on the multiplier IP, WAN profile)\n");
-  std::printf("    %-6s | %11s | %9s | %12s | %14s\n", "batch",
-              "round trips", "RMI calls", "bytes", "sim stall (ms)");
-  printRule(66);
+  std::printf("    %-6s | %11s | %9s | %12s | %14s | %9s\n", "batch",
+              "round trips", "RMI calls", "bytes", "sim stall (ms)",
+              "identical");
+  printRule(78);
+  fault::CampaignResult batchOne;
   for (std::size_t batch : {1u, 2u, 4u, 8u}) {
     ip::ProviderServer server("provider.host", nullptr);
     registerMultiplier(server);
@@ -343,26 +283,30 @@ void parallelCampaignSweep() {
         std::vector<std::pair<std::string, Connector*>>{{"o", &o}}, rcfg);
     ip::RemoteFaultClient client(mult);
 
-    std::vector<std::vector<Word>> pats2;
+    std::vector<std::vector<Word>> pats;
     Rng rng(21);
     for (int i = 0; i < 16; ++i) {
-      pats2.push_back(
+      pats.push_back(
           {Word::fromUint(w, rng.next()), Word::fromUint(w, rng.next())});
     }
-    fault::ParallelCampaignConfig cfg;
-    cfg.threads = 1;  // isolate the batching effect
-    cfg.batchSize = batch;
-    fault::ParallelFaultSimulator psim(c, {&client}, {&a, &b}, {&o}, cfg);
+    fault::VirtualFaultSimulator sim(c, {&client}, {&a, &b}, {&o});
+    sim.setBatchSize(batch);
     const auto before = channel.stats();
-    const auto res = psim.run(pats2);
+    const auto res = sim.run(pats);
     const auto after = channel.stats();
-    std::printf("    %6zu | %11llu | %9llu | %12llu | %14.2f\n", batch,
+    if (batch == 1) batchOne = res;
+    const bool identical =
+        res.detected == batchOne.detected &&
+        res.detectedAfterPattern == batchOne.detectedAfterPattern &&
+        res.injections == batchOne.injections;
+    std::printf("    %6zu | %11llu | %9llu | %12llu | %14.2f | %9s\n", batch,
                 static_cast<unsigned long long>(res.tableFetchRoundTrips),
                 static_cast<unsigned long long>(after.calls - before.calls),
                 static_cast<unsigned long long>(
                     after.bytesSent + after.bytesReceived - before.bytesSent -
                     before.bytesReceived),
-                (after.blockingWallSec - before.blockingWallSec) * 1e3);
+                (after.blockingWallSec - before.blockingWallSec) * 1e3,
+                identical ? "YES" : "NO");
   }
   std::printf("    (one GetDetectionTables message pair serves the whole "
               "batch; stall shrinks with the per-call WAN latency)\n");
@@ -605,7 +549,7 @@ int main(int argc, char** argv) {
   vcad::bench::collapsingAblation();
   vcad::bench::remoteProfileSweep();
   vcad::bench::staticVsDynamic();
-  vcad::bench::parallelCampaignSweep();
+  vcad::bench::batchSweep();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,29 +1,27 @@
-// Virtual fault-simulation throughput: serial phase-2 injection engine vs
-// the pooled worker engine (setInjectionWorkers) across a worker sweep, on
-// multiplier IP campaigns. Reports wall time, injections/sec, speedup over
-// serial, bit-identity of the CampaignResult, and the arena/scheduler
-// metrics (slots leased, peak concurrent schedulers, pooled resets, lane
-// balance).
+// Virtual fault-simulation throughput of the phase-2 campaign engine on
+// multiplier IP campaigns: wall time, injections/sec and the arena metrics
+// (slots leased, peak concurrent schedulers, controller resets), one row
+// per campaign at the default batch size 1.
 //
-// Usage: bench_virtual_sim [--quick] [--json PATH]
+// Usage: bench_virtual_sim [--quick] [--json PATH] [--obs PREFIX]
 //
-// Acceptance gate: on a host with >= 8 hardware threads, the pooled engine
-// at 8 workers must reach >= 3x the serial phase-2 injection throughput on
-// the mult16 campaign. On smaller hosts the sweep still runs (and the
-// bit-identity check still applies) but the speedup gate is skipped — a
-// pool cannot outrun the serial engine without cores to run on.
+// Every row is checked, outside the timed run, against two oracles: the
+// same campaign at batch size 64 (identical fault list, detected set,
+// coverage curve, table and injection accounting apart from round trips)
+// and the flat full-disclosure SerialFaultSimulator (identical detected set
+// and coverage curve). Any mismatch exits 1.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "core/rng.hpp"
 #include "fault/block_design.hpp"
+#include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
 
@@ -43,8 +41,7 @@ double wallOf(const std::function<void()>& fn) {
 
 /// A single w-bit array multiplier as a fault-participating IP block; the
 /// campaign's fault list is the multiplier's own collapsed list, so early
-/// patterns carry hundreds of row injections — the phase-2 work the pool
-/// shards.
+/// patterns carry hundreds of row injections.
 fault::BlockDesign makeMultCampaign(int w) {
   fault::BlockDesign d;
   const int pis = 2 * w;
@@ -65,15 +62,13 @@ std::vector<Word> randomPatterns(int width, int count, std::uint64_t seed) {
 }
 
 struct Measurement {
-  std::string name;         // campaign scenario
-  std::size_t workers = 0;  // 0 = serial engine
+  std::string name;  // campaign scenario
   double wallSec = 0.0;
   std::uint64_t injections = 0;
-  bool identical = true;  // CampaignResult matches the serial reference
+  bool identical = true;  // matches the batch-64 run and the flat oracle
   std::uint64_t slotsLeased = 0;
   std::uint32_t peakSchedulers = 0;
   std::uint64_t schedulerResets = 0;
-  double laneBalance = 1.0;  // min/max lane injection share (1.0 = even)
 
   double injectionsPerSec() const {
     return wallSec > 0.0 ? static_cast<double>(injections) / wallSec : 0.0;
@@ -85,14 +80,13 @@ bool sameCampaign(const fault::CampaignResult& a,
   return a.faultList == b.faultList && a.detected == b.detected &&
          a.detectedAfterPattern == b.detectedAfterPattern &&
          a.detectionTablesRequested == b.detectionTablesRequested &&
-         a.tableFetchRoundTrips == b.tableFetchRoundTrips &&
          a.tableCacheHits == b.tableCacheHits && a.injections == b.injections;
 }
 
-/// Runs the scenario serially, then across the worker sweep; returns one
-/// Measurement per engine configuration (workers == 0 first).
-std::vector<Measurement> sweepScenario(const std::string& name, int multBits,
-                                       int patternCount) {
+/// Times the campaign at batch size 1, then checks it against the batch-64
+/// run and the flat oracle.
+Measurement measureScenario(const std::string& name, int multBits,
+                            int patternCount) {
   const fault::BlockDesign d = makeMultCampaign(multBits);
   auto inst = d.instantiate();
   fault::LocalFaultBlock client(*inst.blockModules[0], /*dominance=*/true,
@@ -100,83 +94,50 @@ std::vector<Measurement> sweepScenario(const std::string& name, int multBits,
   std::vector<fault::FaultClient*> comps{&client};
   const auto pats =
       randomPatterns(d.primaryInputCount(), patternCount, 0xC0FFEE ^ multBits);
+  auto campaign = [&](std::size_t batch) {
+    fault::VirtualFaultSimulator sim(*inst.circuit, comps, inst.piConns,
+                                     inst.poConns);
+    sim.setBatchSize(batch);
+    return sim.runPacked(pats);
+  };
 
-  std::vector<Measurement> rows;
-  fault::CampaignResult serial;
-  {
-    Measurement m;
-    m.name = name;
-    m.workers = 0;
-    m.wallSec = wallOf([&] {
-      fault::VirtualFaultSimulator sim(*inst.circuit, comps, inst.piConns,
-                                       inst.poConns);
-      serial = sim.runPacked(pats);
-    });
-    m.injections = serial.injections;
-    m.slotsLeased = serial.slotsLeased;
-    m.peakSchedulers = serial.peakConcurrentSchedulers;
-    m.schedulerResets = serial.schedulerResets;
-    rows.push_back(m);
-  }
+  Measurement m;
+  m.name = name;
+  fault::CampaignResult res;
+  m.wallSec = wallOf([&] { res = campaign(1); });
+  m.injections = res.injections;
+  m.slotsLeased = res.slotsLeased;
+  m.peakSchedulers = res.peakConcurrentSchedulers;
+  m.schedulerResets = res.schedulerResets;
 
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    Measurement m;
-    m.name = name;
-    m.workers = workers;
-    fault::CampaignResult res;
-    m.wallSec = wallOf([&] {
-      fault::VirtualFaultSimulator sim(*inst.circuit, comps, inst.piConns,
-                                       inst.poConns);
-      sim.setInjectionWorkers(workers);
-      res = sim.runPacked(pats);
-    });
-    m.injections = res.injections;
-    m.identical = sameCampaign(res, serial);
-    m.slotsLeased = res.slotsLeased;
-    m.peakSchedulers = res.peakConcurrentSchedulers;
-    m.schedulerResets = res.schedulerResets;
-    if (!res.workerInjections.empty()) {
-      std::uint64_t lo = res.workerInjections[0];
-      std::uint64_t hi = res.workerInjections[0];
-      for (std::uint64_t n : res.workerInjections) {
-        lo = n < lo ? n : lo;
-        hi = n > hi ? n : hi;
-      }
-      m.laneBalance = hi > 0 ? static_cast<double>(lo) /
-                                   static_cast<double>(hi)
-                             : 1.0;
-    }
-    rows.push_back(m);
+  const gate::Netlist flat = d.flatten();
+  std::vector<gate::StuckFault> faults;
+  for (const std::string& qs : res.faultList) {
+    faults.push_back(fault::flatFaultOf(flat, qs));
   }
-  return rows;
+  fault::SerialFaultSimulator serial(flat, faults, res.faultList);
+  const fault::CampaignResult gold = serial.run(pats);
+  m.identical = sameCampaign(campaign(64), res) &&
+                res.detected == gold.detected &&
+                res.detectedAfterPattern == gold.detectedAfterPattern;
+  return m;
 }
 
 void printTable(const std::vector<Measurement>& rows) {
-  std::printf("\n%-18s | %-7s | %9s | %10s | %11s | %7s | %5s | %4s | %6s | "
-              "%7s | %4s\n",
-              "campaign", "engine", "wall (ms)", "injections", "inj/sec",
-              "speedup", "ident", "peak", "leased", "resets", "bal");
-  for (int i = 0; i < 118; ++i) std::printf("-");
+  std::printf("\n%-18s | %9s | %10s | %11s | %5s | %4s | %6s | %7s\n",
+              "campaign", "wall (ms)", "injections", "inj/sec", "ident",
+              "peak", "leased", "resets");
+  for (int i = 0; i < 90; ++i) std::printf("-");
   std::printf("\n");
-  double serialWall = 0.0;
   for (const Measurement& m : rows) {
-    if (m.workers == 0) serialWall = m.wallSec;
-    char engine[32];
-    if (m.workers == 0) {
-      std::snprintf(engine, sizeof engine, "serial");
-    } else {
-      std::snprintf(engine, sizeof engine, "pool-%zu", m.workers);
-    }
-    std::printf("%-18s | %-7s | %9.1f | %10llu | %11.0f | %6.2fx | %5s | "
-                "%4u | %6llu | %7llu | %4.2f\n",
-                m.name.c_str(), engine, m.wallSec * 1e3,
+    std::printf("%-18s | %9.1f | %10llu | %11.0f | %5s | %4u | %6llu | "
+                "%7llu\n",
+                m.name.c_str(), m.wallSec * 1e3,
                 static_cast<unsigned long long>(m.injections),
-                m.injectionsPerSec(),
-                m.wallSec > 0.0 ? serialWall / m.wallSec : 0.0,
-                m.identical ? "YES" : "NO", m.peakSchedulers,
+                m.injectionsPerSec(), m.identical ? "YES" : "NO",
+                m.peakSchedulers,
                 static_cast<unsigned long long>(m.slotsLeased),
-                static_cast<unsigned long long>(m.schedulerResets),
-                m.laneBalance);
+                static_cast<unsigned long long>(m.schedulerResets));
   }
 }
 
@@ -187,23 +148,19 @@ void writeJson(const std::string& path, const std::vector<Measurement>& rows) {
     return;
   }
   std::fprintf(f, "[\n");
-  double serialWall = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Measurement& m = rows[i];
-    if (m.workers == 0) serialWall = m.wallSec;
     std::fprintf(
         f,
-        "  {\"campaign\": \"%s\", \"workers\": %zu, \"wall_sec\": %.6f, "
+        "  {\"campaign\": \"%s\", \"batch\": 1, \"wall_sec\": %.6f, "
         "\"injections\": %llu, \"injections_per_sec\": %.1f, "
-        "\"speedup\": %.3f, \"identical\": %s, \"slots_leased\": %llu, "
-        "\"peak_schedulers\": %u, \"scheduler_resets\": %llu, "
-        "\"lane_balance\": %.3f}%s\n",
-        m.name.c_str(), m.workers, m.wallSec,
+        "\"identical\": %s, \"slots_leased\": %llu, "
+        "\"peak_schedulers\": %u, \"scheduler_resets\": %llu}%s\n",
+        m.name.c_str(), m.wallSec,
         static_cast<unsigned long long>(m.injections), m.injectionsPerSec(),
-        m.wallSec > 0.0 ? serialWall / m.wallSec : 0.0,
         m.identical ? "true" : "false",
         static_cast<unsigned long long>(m.slotsLeased), m.peakSchedulers,
-        static_cast<unsigned long long>(m.schedulerResets), m.laneBalance,
+        static_cast<unsigned long long>(m.schedulerResets),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -234,22 +191,14 @@ int main(int argc, char** argv) {
   }
   if (!obsPrefix.empty()) vcad::obs::Tracer::global().setEnabled(true);
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("Virtual fault simulation: serial vs pooled phase-2 injection "
-              "(%s mode, %u hardware threads)\n",
-              quick ? "quick" : "full", hw);
+  std::printf("Virtual fault simulation: phase-2 campaign engine (%s mode)\n",
+              quick ? "quick" : "full");
 
-  std::vector<Measurement> rows;
-  {
-    const auto r = sweepScenario("campaign/mult8", 4, quick ? 12 : 48);
-    rows.insert(rows.end(), r.begin(), r.end());
-  }
-  {
-    // The paper-scale campaign: a 16-input array-multiplier IP. Heavy per
-    // injection, so quick mode trims the pattern budget.
-    const auto r = sweepScenario("campaign/mult16", 8, quick ? 4 : 16);
-    rows.insert(rows.end(), r.begin(), r.end());
-  }
+  // mult8, then the paper-scale campaign: a 16-input array-multiplier IP.
+  // Heavy per injection, so quick mode trims the pattern budgets.
+  const std::vector<Measurement> rows = {
+      measureScenario("campaign/mult8", 4, quick ? 12 : 48),
+      measureScenario("campaign/mult16", 8, quick ? 4 : 16)};
 
   printTable(rows);
   if (!jsonPath.empty()) writeJson(jsonPath, rows);
@@ -259,30 +208,11 @@ int main(int argc, char** argv) {
   for (const Measurement& m : rows) {
     if (!m.identical) {
       std::fprintf(stderr,
-                   "FAIL: %s pool-%zu CampaignResult differs from serial\n",
-                   m.name.c_str(), m.workers);
+                   "FAIL: %s differs from the batch-64 run or the flat "
+                   "oracle\n",
+                   m.name.c_str());
       rc = 1;
     }
-  }
-
-  // Throughput gate, meaningful only when the host can actually run 8
-  // injection lanes in parallel.
-  if (hw >= 8) {
-    double serialWall = 0.0;
-    for (const Measurement& m : rows) {
-      if (m.name == "campaign/mult16" && m.workers == 0) serialWall = m.wallSec;
-      if (m.name == "campaign/mult16" && m.workers == 8) {
-        const double speedup = m.wallSec > 0.0 ? serialWall / m.wallSec : 0.0;
-        if (speedup < 3.0) {
-          std::fprintf(stderr,
-                       "FAIL: campaign/mult16 pool-8 speedup %.2fx < 3x\n",
-                       speedup);
-          rc = 1;
-        }
-      }
-    }
-  } else {
-    std::printf("(speedup gate skipped: only %u hardware threads)\n", hw);
   }
   return rc;
 }

@@ -1,12 +1,12 @@
 #include "fault/virtual_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
+#include <set>
 #include <stdexcept>
 
 #include "core/slot_registry.hpp"
 #include "fault/table_cache.hpp"
-#include "fault/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -86,151 +86,25 @@ void VirtualFaultSimulator::applyPattern(SimulationController& sim,
   sim.start();
 }
 
-CampaignResult VirtualFaultSimulator::run(
-    const std::vector<std::vector<Word>>& patterns) {
-  return injectionWorkers_ == 0 ? runSerialInjection(patterns)
-                                : runPooled(patterns);
+void VirtualFaultSimulator::setBatchSize(std::size_t n) {
+  if (n == 0) {
+    throw std::invalid_argument(
+        "VirtualFaultSimulator: batch size must be >= 1");
+  }
+  batchSize_ = n;
 }
 
-CampaignResult VirtualFaultSimulator::runSerialInjection(
+CampaignResult VirtualFaultSimulator::run(
     const std::vector<std::vector<Word>>& patterns) {
   SlotRegistry& registry = SlotRegistry::global();
   const std::uint64_t leasesBefore = registry.totalLeases();
   registry.restartPeakTracking();
 
-  obs::SpanScope campaignSpan("campaign.serial", "campaign");
+  obs::SpanScope campaignSpan("campaign.run", "campaign");
+  campaignSpan.arg("batchSize", static_cast<double>(batchSize_));
   CampaignResult res;
 
   // --- Phase 1: compose the symbolic fault lists -------------------------
-  std::vector<std::vector<std::string>> qualified(components_.size());
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    const std::string prefix = components_[c]->module().name() + "/";
-    for (const std::string& s : components_[c]->faultList()) {
-      qualified[c].push_back(prefix + s);
-      res.faultList.push_back(prefix + s);
-    }
-  }
-
-  // --- Phase 2: per-pattern dynamic estimation ----------------------------
-  // Per-component detection-table cache keyed by the component's observed
-  // input configuration, with an optional view onto the shared result
-  // store. Attached after phase 1: remote stubs learn their netlist-version
-  // digest from the GetFaultList response, so it is known by now.
-  std::vector<DetectionTableCache> tableCache(components_.size());
-  if (store_ != nullptr) {
-    for (std::size_t c = 0; c < components_.size(); ++c) {
-      tableCache[c].attachStore(store_, components_[c]->versionDigest(),
-                                storeNamespace_);
-    }
-  }
-  std::size_t patternIndex = 0;
-  for (const std::vector<Word>& pattern : patterns) {
-    obs::SpanScope patternSpan("campaign.pattern", "campaign");
-    patternSpan.arg("pattern", static_cast<double>(patternIndex++));
-    const std::uint64_t injectionsBefore = res.injections;
-    // Fault-free reference run.
-    SimulationController ff(design_);
-    applyPattern(ff, pattern);
-    const SimContext ffCtx{ff.scheduler(), nullptr};
-    std::vector<Word> goldenPo;
-    goldenPo.reserve(pos_.size());
-    for (Connector* po : pos_) goldenPo.push_back(po->value(ff.scheduler().id()));
-
-    for (std::size_t c = 0; c < components_.size(); ++c) {
-      FaultClient& comp = *components_[c];
-      const std::string prefix = comp.module().name() + "/";
-      const Word inputs = comp.observedInputs(ffCtx);
-      const std::string cacheKey = inputs.toString();
-      auto& cache = tableCache[c];
-      // Bind the table by reference: copying a cached DetectionTable for
-      // every (pattern, component) pair was pure per-pattern overhead.
-      DetectionTable fetched;
-      const DetectionTable* table = nullptr;
-      if (cacheTables_) {
-        table = cache.findPinned(cacheKey);
-        if (table != nullptr) {
-          ++res.tableCacheHits;
-        } else if ((table = cache.findStored(cacheKey, inputs)) != nullptr) {
-          ++res.tableStoreHits;
-        } else {
-          table = cache.insert(cacheKey, inputs, comp.detectionTable(inputs));
-          ++res.detectionTablesRequested;
-          ++res.tableFetchRoundTrips;
-        }
-      } else {
-        fetched = comp.detectionTable(inputs);
-        ++res.detectionTablesRequested;
-        ++res.tableFetchRoundTrips;
-        table = &fetched;
-      }
-
-      for (const DetectionTable::Row& row : table->rows()) {
-        // Skip rows whose faults are all already detected.
-        bool anyUndetected = false;
-        for (const std::string& f : row.faults) {
-          if (res.detected.find(prefix + f) == res.detected.end()) {
-            anyUndetected = true;
-            break;
-          }
-        }
-        if (!anyUndetected) continue;
-
-        // Inject the erroneous output configuration: a fresh single-instant
-        // controller with the component's event handling overridden.
-        SimulationController inj(design_);
-        inj.forceOutputs(comp.module(), comp.overridesFor(row.faultyOutput));
-        applyPattern(inj, pattern);
-        ++res.injections;
-        if (obs::Tracer::global().verbose()) {
-          obs::Tracer::global().instant(
-              "campaign.inject", "campaign",
-              {{"component", static_cast<double>(c)},
-               {"rowFaults", static_cast<double>(row.faults.size())}});
-        }
-
-        bool observable = false;
-        for (std::size_t j = 0; j < pos_.size(); ++j) {
-          if (pos_[j]->value(inj.scheduler().id()) != goldenPo[j]) {
-            observable = true;
-            break;
-          }
-        }
-        if (observable) {
-          for (const std::string& f : row.faults) res.detected.insert(prefix + f);
-        }
-        design_.clearSchedulerState(inj.scheduler().id());
-      }
-    }
-    design_.clearSchedulerState(ff.scheduler().id());
-    assert(design_.residualStateCount(ff.scheduler().slot()) == 0 &&
-           "clearSchedulerState left live state behind");
-    res.detectedAfterPattern.push_back(res.detected.size());
-    patternSpan.arg("injections",
-                    static_cast<double>(res.injections - injectionsBefore));
-    patternSpan.arg("detected", static_cast<double>(res.detected.size()));
-  }
-
-  res.slotsLeased = registry.totalLeases() - leasesBefore;
-  res.peakConcurrentSchedulers = registry.peakLeased();
-  campaignSpan.arg("patterns", static_cast<double>(patterns.size()));
-  campaignSpan.arg("faults", static_cast<double>(res.faultList.size()));
-  campaignSpan.arg("detected", static_cast<double>(res.detected.size()));
-  campaignSpan.arg("injections", static_cast<double>(res.injections));
-  recordCampaignMetrics(res);
-  return res;
-}
-
-CampaignResult VirtualFaultSimulator::runPooled(
-    const std::vector<std::vector<Word>>& patterns) {
-  SlotRegistry& registry = SlotRegistry::global();
-  const std::uint64_t leasesBefore = registry.totalLeases();
-  registry.restartPeakTracking();
-
-  obs::SpanScope campaignSpan("campaign.pooled", "campaign");
-  campaignSpan.arg("workers", static_cast<double>(injectionWorkers_));
-  CampaignResult res;
-
-  // --- Phase 1: identical to the serial engine ---------------------------
   std::vector<std::string> prefixes(components_.size());
   for (std::size_t c = 0; c < components_.size(); ++c) {
     prefixes[c] = components_[c]->module().name() + "/";
@@ -239,159 +113,174 @@ CampaignResult VirtualFaultSimulator::runPooled(
     }
   }
 
-  // --- Phase 2: pooled concurrent injection ------------------------------
-  // One pinned controller per pool lane plus one for the fault-free
-  // reference run; all are leased once and reset-and-reused, so a whole
-  // campaign consumes injectionWorkers_ + 1 slots no matter how many
-  // patterns and injections it executes.
-  WorkerPool pool(injectionWorkers_ > 1 ? injectionWorkers_ : 0);
-  std::vector<std::unique_ptr<SimulationController>> lanes(pool.lanes());
-  for (auto& lane : lanes) {
-    lane = std::make_unique<SimulationController>(design_);
-  }
-  SimulationController ff(design_);
-  res.injectionWorkers = injectionWorkers_;
-  res.workerInjections.assign(pool.lanes(), 0);
-
-  std::vector<DetectionTableCache> tableCache(components_.size());
+  // --- Phase 2 ------------------------------------------------------------
+  // Per-component table cache keyed by the observed input configuration
+  // (pinned tables have stable addresses, so rows are bound by pointer),
+  // with an optional view onto the shared result store. Attached after
+  // phase 1: remote stubs learn their netlist-version digest from the
+  // GetFaultList response.
+  std::vector<DetectionTableCache> cache(components_.size());
   if (store_ != nullptr) {
     for (std::size_t c = 0; c < components_.size(); ++c) {
-      tableCache[c].attachStore(store_, components_[c]->versionDigest(),
-                                storeNamespace_);
+      cache[c].attachStore(store_, components_[c]->versionDigest(),
+                           storeNamespace_);
     }
   }
 
+  // Every fault-free run and every injection runs on this one controller.
+  SimulationController sim(design_);
+  bool simUsed = false;
+  auto freshSim = [&]() -> SimulationController& {
+    if (simUsed) {
+      sim.reset();
+      ++res.schedulerResets;
+    }
+    simUsed = true;
+    return sim;
+  };
+  auto poValue = [&](std::size_t k) {
+    return pos_[k]->value(sim.scheduler().slot(),
+                          sim.scheduler().slotGeneration());
+  };
+
+  struct PatternRun {
+    std::vector<Word> golden;      // fault-free primary-output snapshot
+    std::vector<Word> compInputs;  // observed inputs, one per component
+    std::vector<const DetectionTable*> tables;  // one per component
+  };
   struct Job {
     std::size_t comp;
     const DetectionTable::Row* row;
-    bool observable = false;
   };
+  std::vector<PatternRun> runs;
+  std::vector<Job> jobs;
 
-  bool firstPattern = true;
-  std::size_t patternIndex = 0;
-  for (const std::vector<Word>& pattern : patterns) {
-    obs::SpanScope patternSpan("campaign.pattern", "campaign");
-    patternSpan.arg("pattern", static_cast<double>(patternIndex++));
-    // Fault-free reference run on the pinned ff controller.
-    if (!firstPattern) {
-      ff.reset();
-      ++res.schedulerResets;
-    }
-    firstPattern = false;
-    applyPattern(ff, pattern);
-    const SimContext ffCtx{ff.scheduler(), nullptr};
-    std::vector<Word> goldenPo;
-    goldenPo.reserve(pos_.size());
-    for (Connector* po : pos_) {
-      goldenPo.push_back(po->value(ff.scheduler().id()));
-    }
+  for (std::size_t base = 0; base < patterns.size(); base += batchSize_) {
+    const std::size_t nBatch = std::min(batchSize_, patterns.size() - base);
 
-    // Table fetch stays serial on the coordinator, in component order, so
-    // the round-trip/cache accounting matches the serial engine exactly.
-    // Uncached tables must outlive this pattern's injection jobs; reserve
-    // keeps the row pointers stable.
-    std::vector<DetectionTable> freshTables;
-    freshTables.reserve(components_.size());
-    std::vector<Job> jobs;
+    // 1. Fault-free runs: snapshot what phase 2 needs, so the controller
+    //    is free for the next run.
+    obs::SpanScope goldenSpan("campaign.golden", "campaign");
+    runs.assign(nBatch, PatternRun{});
+    for (std::size_t i = 0; i < nBatch; ++i) {
+      applyPattern(freshSim(), patterns[base + i]);
+      PatternRun& pr = runs[i];
+      pr.golden.reserve(pos_.size());
+      for (std::size_t k = 0; k < pos_.size(); ++k) {
+        pr.golden.push_back(poValue(k));
+      }
+      const SimContext ctx{sim.scheduler(), nullptr};
+      pr.compInputs.reserve(components_.size());
+      for (FaultClient* comp : components_) {
+        pr.compInputs.push_back(comp->observedInputs(ctx));
+      }
+    }
+    goldenSpan.end();
+
+    // 2. Table fetch, per component: client cache, then result store, then
+    //    one round trip for the batch's missing configurations.
+    obs::SpanScope tableFetchSpan("campaign.tableFetch", "campaign");
+    tableFetchSpan.arg("patterns", static_cast<double>(nBatch));
+    const std::uint64_t roundTripsBefore = res.tableFetchRoundTrips;
+    std::vector<std::string> keys(nBatch);
     for (std::size_t c = 0; c < components_.size(); ++c) {
       FaultClient& comp = *components_[c];
-      const Word inputs = comp.observedInputs(ffCtx);
-      const DetectionTable* table = nullptr;
-      if (cacheTables_) {
-        auto& cache = tableCache[c];
-        const std::string cacheKey = inputs.toString();
-        table = cache.findPinned(cacheKey);
-        if (table != nullptr) {
+      DetectionTableCache& compCache = cache[c];
+      std::vector<Word> missing;
+      std::vector<std::size_t> missingAt;  // index into keys
+      std::set<std::string> pending;
+      for (std::size_t i = 0; i < nBatch; ++i) {
+        const Word& inputs = runs[i].compInputs[c];
+        keys[i] = inputs.toString();
+        if (compCache.findPinned(keys[i]) != nullptr ||
+            pending.count(keys[i]) != 0) {
           ++res.tableCacheHits;
-        } else if ((table = cache.findStored(cacheKey, inputs)) != nullptr) {
+        } else if (compCache.findStored(keys[i], inputs) != nullptr) {
           ++res.tableStoreHits;
         } else {
-          table = cache.insert(cacheKey, inputs, comp.detectionTable(inputs));
-          ++res.detectionTablesRequested;
-          ++res.tableFetchRoundTrips;
+          pending.insert(keys[i]);
+          missing.push_back(inputs);
+          missingAt.push_back(i);
         }
-      } else {
-        freshTables.push_back(comp.detectionTable(inputs));
-        ++res.detectionTablesRequested;
-        ++res.tableFetchRoundTrips;
-        table = &freshTables.back();
       }
+      if (missing.size() == 1) {
+        compCache.insert(keys[missingAt[0]], missing[0],
+                         comp.detectionTable(missing[0]));
+      } else if (missing.size() > 1) {
+        std::vector<DetectionTable> fetched = comp.detectionTables(missing);
+        if (fetched.size() != missing.size()) {
+          throw std::runtime_error(
+              "detectionTables returned a short batch for component " +
+              comp.module().name());
+        }
+        for (std::size_t j = 0; j < fetched.size(); ++j) {
+          compCache.insert(keys[missingAt[j]], missing[j],
+                           std::move(fetched[j]));
+        }
+      }
+      if (!missing.empty()) {
+        res.detectionTablesRequested += missing.size();
+        ++res.tableFetchRoundTrips;
+      }
+      for (std::size_t i = 0; i < nBatch; ++i) {
+        runs[i].tables.push_back(compCache.findPinned(keys[i]));
+      }
+    }
+    tableFetchSpan.arg(
+        "roundTrips",
+        static_cast<double>(res.tableFetchRoundTrips - roundTripsBefore));
+    tableFetchSpan.end();
 
-      // Row skip decisions use the detected set as of pattern start. This
-      // reproduces the serial engine's per-row decisions exactly: rows of
-      // one table are fault-disjoint (a fault's faulty output under fixed
-      // inputs is unique, so each fault appears in exactly one row) and
-      // component fault names carry distinct "<module>/" prefixes, so
-      // nothing detected mid-pattern can overlap another pending row of
-      // the same pattern.
-      for (const DetectionTable::Row& row : table->rows()) {
-        bool anyUndetected = false;
-        for (const std::string& f : row.faults) {
-          if (res.detected.find(prefixes[c] + f) == res.detected.end()) {
-            anyUndetected = true;
+    // 3. Injections, pattern by pattern, so the coverage curve is per
+    //    pattern.
+    for (std::size_t i = 0; i < nBatch; ++i) {
+      const PatternRun& pr = runs[i];
+      obs::SpanScope patternSpan("campaign.pattern", "campaign");
+      patternSpan.arg("pattern", static_cast<double>(base + i));
+      jobs.clear();
+      for (std::size_t c = 0; c < components_.size(); ++c) {
+        for (const DetectionTable::Row& row : pr.tables[c]->rows()) {
+          for (const std::string& f : row.faults) {
+            if (res.detected.find(prefixes[c] + f) == res.detected.end()) {
+              jobs.push_back(Job{c, &row});
+              break;
+            }
+          }
+        }
+      }
+      for (const Job& job : jobs) {
+        FaultClient& comp = *components_[job.comp];
+        SimulationController& inj = freshSim();
+        inj.forceOutputs(comp.module(), comp.overridesFor(job.row->faultyOutput));
+        applyPattern(inj, patterns[base + i]);
+        if (obs::Tracer::global().verbose()) {
+          obs::Tracer::global().instant(
+              "campaign.inject", "campaign",
+              {{"component", static_cast<double>(job.comp)},
+               {"rowFaults", static_cast<double>(job.row->faults.size())}});
+        }
+        for (std::size_t k = 0; k < pos_.size(); ++k) {
+          if (poValue(k) != pr.golden[k]) {
+            for (const std::string& f : job.row->faults) {
+              res.detected.insert(prefixes[job.comp] + f);
+            }
             break;
           }
         }
-        if (anyUndetected) jobs.push_back(Job{c, &row, false});
       }
+      res.injections += jobs.size();
+      res.detectedAfterPattern.push_back(res.detected.size());
+      patternSpan.arg("injections", static_cast<double>(jobs.size()));
+      patternSpan.arg("detected", static_cast<double>(res.detected.size()));
     }
-
-    // Row injections shard across the lanes; lane w is only ever driven by
-    // pool thread w, so per-slot arena state needs no locks. Each job
-    // resets its lane (O(1) generation renew) instead of constructing a
-    // controller.
-    std::vector<std::uint64_t> laneResets(lanes.size(), 0);
-    pool.parallelFor(jobs.size(), [&](std::size_t w, std::size_t j) {
-      Job& job = jobs[j];
-      FaultClient& comp = *components_[job.comp];
-      SimulationController& inj = *lanes[w];
-      inj.reset();
-      ++laneResets[w];
-      inj.forceOutputs(comp.module(), comp.overridesFor(job.row->faultyOutput));
-      applyPattern(inj, pattern);
-      if (obs::Tracer::global().verbose()) {
-        obs::Tracer::global().instant(
-            "campaign.inject", "campaign",
-            {{"lane", static_cast<double>(w)},
-             {"component", static_cast<double>(job.comp)},
-             {"rowFaults", static_cast<double>(job.row->faults.size())}});
-      }
-      for (std::size_t k = 0; k < pos_.size(); ++k) {
-        if (pos_[k]->value(inj.scheduler().slot(),
-                           inj.scheduler().slotGeneration()) != goldenPo[k]) {
-          job.observable = true;
-          break;
-        }
-      }
-      ++res.workerInjections[w];
-    });
-
-    // Merge after the pool barrier, in job order (set union is
-    // order-independent, but determinism keeps this auditable).
-    for (const Job& job : jobs) {
-      if (!job.observable) continue;
-      for (const std::string& f : job.row->faults) {
-        res.detected.insert(prefixes[job.comp] + f);
-      }
-    }
-    res.injections += jobs.size();
-    for (std::uint64_t r : laneResets) res.schedulerResets += r;
-    res.detectedAfterPattern.push_back(res.detected.size());
-    patternSpan.arg("injections", static_cast<double>(jobs.size()));
-    patternSpan.arg("detected", static_cast<double>(res.detected.size()));
   }
 
-  // Pooled lanes are logically clean after every reset; physically release
-  // their arena entries before the controllers die so a finished campaign
-  // leaves nothing behind, then verify it.
-  design_.clearSchedulerState(ff.scheduler().id());
-  assert(design_.residualStateCount(ff.scheduler().slot()) == 0 &&
-         "clearSchedulerState left live ff state behind");
-  for (auto& lane : lanes) {
-    design_.clearSchedulerState(lane->scheduler().id());
-    assert(design_.residualStateCount(lane->scheduler().slot()) == 0 &&
-           "clearSchedulerState left live lane state behind");
-  }
+  // The controller is logically clean after every reset; physically release
+  // its arena entries before it dies so a finished campaign leaves nothing
+  // behind, then verify it.
+  design_.clearSchedulerState(sim.scheduler().id());
+  assert(design_.residualStateCount(sim.scheduler().slot()) == 0 &&
+         "clearSchedulerState left live state behind");
 
   res.slotsLeased = registry.totalLeases() - leasesBefore;
   res.peakConcurrentSchedulers = registry.peakLeased();

@@ -15,14 +15,24 @@
 //                      fault-free response, every fault in the row is
 //                      detected and dropped from the list.
 //
-// The multi-scheduler backplane makes the injection runs free of any
-// save/restore action: each injection runs under its own scheduler slot,
-// whose state cannot interfere with the fault-free run or with other
-// injections. The serial engine (runSerialInjection) uses a fresh
-// controller per injection; setInjectionWorkers(n) switches phase 2 to a
-// pool of n workers, each with one pinned pooled scheduler reset-and-reused
-// across row injections running concurrently — bit-identical results by
-// construction (see runPooled).
+// Phase 2 runs in batches of setBatchSize() patterns (default 1):
+//   1. fault-free runs of the batch, snapshotting the golden primary
+//      outputs and every component's observed inputs;
+//   2. per component, configurations not in the client cache or the shared
+//      result store are fetched in one round trip — detectionTable() for a
+//      single configuration, detectionTables() (the paper's pattern
+//      buffering) for two or more;
+//   3. per pattern, in order, every row with an undetected fault is
+//      injected. Row-skip decisions use the detected set at the start of
+//      the pattern: rows of one table are fault-disjoint and component
+//      fault names carry distinct "<module>/" prefixes, so nothing detected
+//      mid-pattern can touch another pending row of the same pattern.
+// All runs share one pinned controller, reset() between runs (an O(1)
+// generation renew of its scheduler slot): the multi-scheduler backplane
+// isolates each run with no save/restore action, and a whole campaign
+// leases a single slot. The result — fault list, detected set, coverage
+// curve, table accounting — does not depend on the batch size; only the
+// round-trip count shrinks as batches grow.
 #pragma once
 
 #include <memory>
@@ -60,17 +70,13 @@ struct CampaignResult {
   std::uint64_t injections = 0;
   std::uint64_t faultSimEvaluations = 0;  // serial baseline only
 
-  // Arena/scheduler metrics (perf-PR baseline): how many scheduler slots
-  // the campaign leased from the SlotRegistry, the high-water mark of
-  // concurrently live schedulers while it ran, and how often pooled
-  // controllers were reset-and-reused instead of reconstructed.
+  // Arena/scheduler metrics: how many scheduler slots the campaign leased
+  // from the SlotRegistry, the high-water mark of concurrently live
+  // schedulers while it ran, and how often the pinned controller was
+  // reset-and-reused instead of reconstructed.
   std::uint64_t slotsLeased = 0;
   std::uint32_t peakConcurrentSchedulers = 0;
   std::uint64_t schedulerResets = 0;
-  // Injection-worker pool shape and utilization: workerInjections[w] is the
-  // number of injection jobs lane w executed (empty for the serial path).
-  std::size_t injectionWorkers = 0;
-  std::vector<std::uint64_t> workerInjections;
 
   double coverage() const {
     return faultList.empty() ? 0.0
@@ -89,50 +95,33 @@ class VirtualFaultSimulator {
                         std::vector<Connector*> primaryOutputs);
 
   /// Runs the two-phase campaign over the given patterns. Each pattern
-  /// holds one word per primary-input connector, in order. Dispatches to
-  /// the pooled phase-2 engine when setInjectionWorkers() was given a
-  /// worker count, to the serial engine otherwise; both produce the same
-  /// CampaignResult bit for bit (fault list, detected set, coverage curve,
-  /// table/cache/round-trip accounting).
+  /// holds one word per primary-input connector, in order.
   CampaignResult run(const std::vector<std::vector<Word>>& patterns);
 
   /// Convenience for all-single-bit primary inputs: bit i of each packed
   /// word drives primaryInputs[i].
   CampaignResult runPacked(const std::vector<Word>& packedPatterns);
 
-  /// The serial phase-2 reference engine: one injection at a time, a fresh
-  /// controller per injection. Kept public for differential testing against
-  /// the pooled path.
-  CampaignResult runSerialInjection(
-      const std::vector<std::vector<Word>>& patterns);
-
-  /// Client-side detection-table caching (default on): a component whose
-  /// input configuration repeats across patterns is served from the cache
-  /// instead of a fresh provider round trip.
-  void setTableCache(bool on) { cacheTables_ = on; }
+  /// Patterns per phase-2 batch (default 1, at least 1). Each batch costs
+  /// at most one table round trip per component, so larger batches fill
+  /// more lanes of the provider's packed table builder per request. Batch
+  /// size 1 sends exactly one GetDetectionTable per missing configuration,
+  /// the traffic the paper's Table 2 / Figure 3 experiments count.
+  void setBatchSize(std::size_t n);
+  std::size_t batchSize() const { return batchSize_; }
 
   /// Attaches a shared result store to the per-component table caches:
   /// configurations another campaign (or session, or process — the store
   /// may be disk-backed) already characterized are served locally with no
   /// client fetch, counted as CampaignResult::tableStoreHits. Only
-  /// components with a non-zero versionDigest() participate. Requires
-  /// setTableCache(true) (the default) to have any effect.
+  /// components with a non-zero versionDigest() participate.
   void setResultStore(std::shared_ptr<cache::ResultStore> store,
                       std::uint64_t ns = 0) {
     store_ = std::move(store);
     storeNamespace_ = ns;
   }
 
-  /// Phase-2 injection worker pool size. 0 (default) selects the serial
-  /// engine; n >= 1 runs each pattern's row injections across n lanes with
-  /// one pinned pooled scheduler per lane, reset-and-reused between jobs.
-  void setInjectionWorkers(std::size_t n) { injectionWorkers_ = n; }
-  std::size_t injectionWorkers() const { return injectionWorkers_; }
-
  private:
-  CampaignResult runPooled(const std::vector<std::vector<Word>>& patterns);
-  /// Simulates one pattern fault-free; fills PO snapshot; returns the
-  /// controller (kept alive so component input configurations can be read).
   void applyPattern(SimulationController& sim,
                     const std::vector<Word>& pattern);
 
@@ -140,21 +129,19 @@ class VirtualFaultSimulator {
   std::vector<FaultClient*> components_;
   std::vector<Connector*> pis_;
   std::vector<Connector*> pos_;
-  bool cacheTables_ = true;
-  std::size_t injectionWorkers_ = 0;
+  std::size_t batchSize_ = 1;
   std::shared_ptr<cache::ResultStore> store_;
   std::uint64_t storeNamespace_ = 0;
 };
 
 /// Expands packed single-bit patterns (bit i -> primary input i) into the
-/// one-word-per-input form run() consumes. Shared by the serial and parallel
-/// campaign engines.
+/// one-word-per-input form run() consumes.
 std::vector<std::vector<Word>> unpackPatterns(
     const std::vector<Word>& packedPatterns, std::size_t primaryInputs);
 
 /// Mirrors a finished campaign's accounting into the global obs::Registry
-/// (campaign.* counters / gauges). Called by every campaign engine right
-/// before it returns; the CampaignResult itself stays the source of truth.
+/// (campaign.* counters / gauges). Called by run() right before it returns;
+/// the CampaignResult itself stays the source of truth.
 void recordCampaignMetrics(const CampaignResult& res);
 
 }  // namespace vcad::fault

@@ -1,6 +1,6 @@
 // Property-based differential sweep of the circuit-generator family through
-// fault campaigns: virtual-vs-flat-disclosure and serial-vs-parallel must be
-// bit-identical at every family point. On a mismatch the test shrinks the
+// fault campaigns: virtual-vs-flat-disclosure and the engine's batch-size ×
+// result-store sweep must be bit-identical at every family point. On a mismatch the test shrinks the
 // pattern set to the first divergent prefix and emits the flattened netlist
 // text plus the (family, seed) pair in the assert message, so any failure is
 // reproducible from the log alone.
@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "engine_sweep.hpp"
 #include "fault/block_design.hpp"
-#include "fault/parallel_campaign.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/family.hpp"
@@ -141,29 +141,21 @@ TEST_P(FamilySweep, VirtualMatchesFullDisclosureBaseline) {
   }
 }
 
+// The case name predates the single engine: "parallel" is now the batched
+// configurations of the sweep.
 TEST_P(FamilySweep, SerialMatchesParallelCampaign) {
   const auto [family, seed] = GetParam();
   FamilyRig rig = makeFamilyRig(family, static_cast<std::uint64_t>(seed));
   const auto patterns =
       packedPatterns(rig.nPis, 10, static_cast<std::uint64_t>(seed) * 97);
 
-  VirtualFaultSimulator serial(*rig.inst.circuit, rig.components(),
-                               rig.inst.piConns, rig.inst.poConns);
-  const CampaignResult gold = serial.runPacked(patterns);
-
-  for (std::size_t threads : {2u, 4u}) {
-    ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = 3;
-    ParallelFaultSimulator psim(*rig.inst.circuit, rig.components(),
-                                rig.inst.piConns, rig.inst.poConns, cfg);
-    const CampaignResult res = psim.runPacked(patterns);
-    if (res.faultList != gold.faultList || res.detected != gold.detected ||
-        res.detectedAfterPattern != gold.detectedAfterPattern) {
-      FAIL() << "serial/parallel mismatch, threads=" << threads << ", "
-             << reproducer(rig, firstDivergence(res, gold));
-    }
-    EXPECT_EQ(res.detectionTablesRequested, gold.detectionTablesRequested);
+  (void)sweep::sweepConfigurations(
+      {*rig.inst.circuit, rig.components(), rig.inst.piConns,
+       rig.inst.poConns},
+      patterns, rig.spec.name());
+  if (HasFailure()) {
+    ADD_FAILURE() << "batch/store sweep mismatch, "
+                  << reproducer(rig, patterns.size());
   }
 }
 

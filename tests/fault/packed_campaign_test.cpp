@@ -1,7 +1,7 @@
 // Campaign-level golden tests for the packed bit-parallel engine: every
 // consumer (serial campaigns, detection-table batches, dictionaries, ATPG,
-// the parallel virtual campaign) must produce results bit-identical to the
-// scalar reference paths.
+// the virtual campaign with pack-aligned batches) must produce results
+// bit-identical to the scalar reference paths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 #include "fault/atpg.hpp"
 #include "fault/block_design.hpp"
 #include "fault/dictionary.hpp"
-#include "fault/parallel_campaign.hpp"
 #include "fault/serial_sim.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/family.hpp"
@@ -325,7 +324,7 @@ TEST(PackedAtpg, AdderCoverageStaysHigh) {
   EXPECT_LE(res.patterns.size(), res.beforeCompaction);
 }
 
-// --- parallel campaign with pack-width-aligned batches --------------------
+// --- virtual campaign with pack-width-aligned batches ---------------------
 
 std::shared_ptr<const Netlist> share(Netlist nl) {
   return std::make_shared<const Netlist>(std::move(nl));
@@ -383,22 +382,8 @@ Scenario makeScenario(std::uint64_t seed) {
   return s;
 }
 
-TEST(PackAlignedBatches, ConfigRoundsBatchSizeUpToLaneMultiple) {
-  Scenario s = makeScenario(0x5eed06);
-  for (const auto& [requested, expected] :
-       {std::pair<std::size_t, std::size_t>{1, 64},
-        {63, 64},
-        {64, 64},
-        {65, 128}}) {
-    ParallelCampaignConfig cfg;
-    cfg.batchSize = requested;
-    cfg.alignBatchesToPackWidth = true;
-    ParallelFaultSimulator sim(*s.inst.circuit, s.components(),
-                               s.inst.piConns, s.inst.poConns, cfg);
-    EXPECT_EQ(sim.config().batchSize, expected);
-  }
-}
-
+// The case name predates the single engine: the sweep is now over batch
+// sizes that are whole multiples of the 64-lane pack width.
 TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
   Scenario s = makeScenario(0x5eed07);
   Rng rng(0x5eed08);
@@ -408,18 +393,18 @@ TEST(PackAlignedBatches, ThreadSweepBitIdenticalToSerialVirtual) {
                                s.inst.piConns, s.inst.poConns);
   const CampaignResult gold = serial.runPacked(patterns);
 
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = 8;  // rounds up to 64: > one full lane block per fetch
-    cfg.alignBatchesToPackWidth = true;
-    ParallelFaultSimulator psim(*s.inst.circuit, s.components(),
-                                s.inst.piConns, s.inst.poConns, cfg);
-    const CampaignResult res = psim.runPacked(patterns);
-    const std::string label = "threads=" + std::to_string(threads);
+  for (const std::size_t batch : {64u, 128u}) {
+    VirtualFaultSimulator sim(*s.inst.circuit, s.components(),
+                              s.inst.piConns, s.inst.poConns);
+    sim.setBatchSize(batch);  // >= one full lane block per fetch
+    const CampaignResult res = sim.runPacked(patterns);
+    const std::string label = "batch=" + std::to_string(batch);
     EXPECT_EQ(res.faultList, gold.faultList) << label;
     EXPECT_EQ(res.detected, gold.detected) << label;
     EXPECT_EQ(res.detectedAfterPattern, gold.detectedAfterPattern) << label;
+    EXPECT_EQ(res.detectionTablesRequested, gold.detectionTablesRequested)
+        << label;
+    EXPECT_LT(res.tableFetchRoundTrips, gold.tableFetchRoundTrips) << label;
   }
 }
 

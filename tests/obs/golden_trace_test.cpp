@@ -361,7 +361,7 @@ TEST(GoldenTrace, TimestampsAreMonotonicPerThreadAndSpansNestProperly) {
 
   // The expected span taxonomy showed up: the campaign root, its per-pattern
   // children, the client RMI spans, and the provider's adopted spans.
-  const auto campaignSpans = spansWithPrefix(events, "campaign.serial");
+  const auto campaignSpans = spansWithPrefix(events, "campaign.run");
   ASSERT_EQ(campaignSpans.size(), 1u);
   const TraceEvent root = campaignSpans[0];
   const auto patternSpans = spansWithPrefix(events, "campaign.pattern");

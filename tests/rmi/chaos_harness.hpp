@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "fault/parallel_campaign.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
 #include "ip/provider_server.hpp"
@@ -192,11 +191,9 @@ inline std::string chaosFailureReport(const ChaosOutcome& run) {
   return s;
 }
 
-/// Runs the campaign under the given transport behaviour. threads == 0 uses
-/// the VirtualFaultSimulator — serially when pooledWorkers == 0, with a
-/// pooled concurrent phase-2 injection engine of that many pinned
-/// schedulers otherwise; threads > 0 uses the parallel (batched) engine
-/// with the given worker count and table batch size. `traced` runs the
+/// Runs the campaign under the given transport behaviour, fetching the
+/// detection tables of `batch` patterns per round trip (1 = one
+/// GetDetectionTable per missing configuration). `traced` runs the
 /// campaign with the global tracer on (cleared first, prior state restored
 /// after), so a failing invariant can dump the run's final trace events;
 /// tracing never feeds back into the simulation, so outcomes are identical
@@ -204,10 +201,8 @@ inline std::string chaosFailureReport(const ChaosOutcome& run) {
 inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
                                      std::uint64_t seed, int patternCount = 6,
                                      std::uint64_t restartAfter = 0,
-                                     std::size_t threads = 0,
                                      std::size_t batch = 1,
                                      const rmi::RetryPolicy* policy = nullptr,
-                                     std::size_t pooledWorkers = 0,
                                      bool traced = true,
                                      bool viaQueue = false) {
   obs::Tracer& tracer = obs::Tracer::global();
@@ -218,23 +213,13 @@ inline ChaosOutcome runChaosCampaign(const net::FaultProfile& profile,
   }
   ChaosRig rig(profile, seed, restartAfter, viaQueue);
   if (policy != nullptr) rig.channel.setRetryPolicy(*policy);
-  const auto patterns = chaosPatterns(patternCount);
   ChaosOutcome out;
   out.profileName = profile.name;
   out.seed = seed;
-  if (threads == 0) {
-    fault::VirtualFaultSimulator sim(rig.circuit, rig.components(), rig.pis,
-                                     rig.pos);
-    sim.setInjectionWorkers(pooledWorkers);
-    out.result = sim.run(patterns);
-  } else {
-    fault::ParallelCampaignConfig cfg;
-    cfg.threads = threads;
-    cfg.batchSize = batch;
-    fault::ParallelFaultSimulator sim(rig.circuit, rig.components(), rig.pis,
-                                      rig.pos, cfg);
-    out.result = sim.run(patterns);
-  }
+  fault::VirtualFaultSimulator sim(rig.circuit, rig.components(), rig.pis,
+                                   rig.pos);
+  sim.setBatchSize(batch);
+  out.result = sim.run(chaosPatterns(patternCount));
   out.stats = rig.channel.stats();
   out.transport = rig.transport.stats();
   out.providerFeesCents = rig.server.sessionFeesCents(rig.provider->session());

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -30,16 +31,19 @@ using chaos::ChaosRig;
 
 /// One tenant's endpoint shard: a full ProviderServer (own sessions, fee
 /// ledger, replay cache) serving the chaos multiplier, wrapped in the
-/// harness's restart injector so a shard can crash mid-campaign.
+/// harness's restart injector so a shard can crash mid-campaign. `gate`
+/// runs on the dispatching worker before every request.
 class TenantShard : public rmi::ServerEndpoint {
  public:
-  explicit TenantShard(std::uint64_t restartAfter)
+  TenantShard(std::uint64_t restartAfter, std::function<void()> gate)
       : server_("chaos-provider.host", nullptr),
-        restarting_(server_, restartAfter) {
+        restarting_(server_, restartAfter),
+        gate_(std::move(gate)) {
     chaos::registerChaosMultiplier(server_);
   }
 
   rmi::Response dispatch(const rmi::Request& request) override {
+    gate_();
     return restarting_.dispatch(request);
   }
   std::string hostName() const override { return restarting_.hostName(); }
@@ -50,6 +54,7 @@ class TenantShard : public rmi::ServerEndpoint {
  private:
   ip::ProviderServer server_;
   chaos::RestartingEndpoint restarting_;
+  std::function<void()> gate_;
 };
 
 /// Shared rig: the multi-tenant server plus a registry of the shards its
@@ -60,6 +65,8 @@ struct MtRig {
   std::map<ip::TenantId, TenantShard*> shards;
   std::unique_ptr<ip::MultiTenantProviderServer> server;
   std::string path;
+  bool holdUntilShed = false;
+  std::atomic<bool> firstDispatchHeld{false};
 
   explicit MtRig(ip::MultiTenantProviderServer::Config cfg,
                  std::uint64_t restartAfter = 0) {
@@ -68,7 +75,8 @@ struct MtRig {
            std::to_string(counter++) + ".sock";
     server = std::make_unique<ip::MultiTenantProviderServer>(
         [this, restartAfter](ip::TenantId tenant) {
-          auto shard = std::make_unique<TenantShard>(restartAfter);
+          auto shard = std::make_unique<TenantShard>(
+              restartAfter, [this] { gateFirstDispatch(); });
           {
             std::lock_guard<std::mutex> lock(mutex);
             shards[tenant] = shard.get();
@@ -86,6 +94,21 @@ struct MtRig {
     ASSERT_TRUE(server->listenUnix(path));
     server->start();
   }
+
+  /// Makes the first dispatch of any shard block until the front end has
+  /// shed a frame, so a starved queue provably sheds however the clients'
+  /// requests happen to interleave. Call before start().
+  void holdFirstDispatchUntilShed() { holdUntilShed = true; }
+
+  void gateFirstDispatch() {
+    if (!holdUntilShed || firstDispatchHeld.exchange(true)) return;
+    server->awaitStats(
+        [](const ip::MultiTenantProviderServer::Stats& st) {
+          return st.shedTooManyPending + st.shedOverloaded > 0;
+        },
+        /*timeoutSec=*/30.0);
+  }
+
   TenantShard* shard(ip::TenantId tenant) {
     std::lock_guard<std::mutex> lock(mutex);
     auto it = shards.find(tenant);
@@ -216,8 +239,8 @@ TEST(MtChaos, FourTenantsBitIdenticalToFourSerialRuns) {
   std::vector<ChaosOutcome> bases;
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
-    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 0, 1,
-                                            nullptr, 0, /*traced=*/false));
+    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 1,
+                                            nullptr, /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -267,14 +290,18 @@ TEST(MtChaos, SheddingQueuePreservesCoverageAndFees) {
   std::vector<ChaosOutcome> bases;
   bases.reserve(plans.size());
   for (const TenantPlan& p : plans) {
-    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 0, 1,
-                                            nullptr, 0, /*traced=*/false));
+    bases.push_back(chaos::runChaosCampaign(p.profile, p.seed, 6, 0, 1,
+                                            nullptr, /*traced=*/false));
   }
 
   ip::MultiTenantProviderServer::Config cfg;
   cfg.queue.workers = 1;
   cfg.queue.maxQueueDepth = 1;
   MtRig rig(cfg);
+  // The single worker parks on its first request until a later one is
+  // shed: with the worker busy and the one queue place taken, the next
+  // client's frame must be turned away.
+  rig.holdFirstDispatchUntilShed();
   rig.start();
   // A generous attempt budget: shed storms must exhaust before it does
   // (a TransportFailure would trigger session recovery and re-billing,
@@ -318,8 +345,7 @@ TEST(MtChaos, MidRunShardRestartStaysBitIdentical) {
   constexpr std::uint64_t kSeed = 3;
   constexpr std::uint64_t kRestartAfter = 7;
   ChaosOutcome base = chaos::runChaosCampaign(profile, kSeed, 6, kRestartAfter,
-                                              0, 1, nullptr, 0,
-                                              /*traced=*/false);
+                                              1, nullptr, /*traced=*/false);
   ASSERT_EQ(base.restarts, 1u);  // the crash point actually fired
 
   ip::MultiTenantProviderServer::Config cfg;
@@ -346,10 +372,10 @@ TEST(MtChaos, QuotaThrottledNeighbourNeverPerturbsOtherTenants) {
   const TenantPlan planA{1, net::FaultProfile::none(), 31};
   const TenantPlan planC{3, net::FaultProfile::lossy(), 33};
   ChaosOutcome baseA = chaos::runChaosCampaign(planA.profile, planA.seed, 6,
-                                               0, 0, 1, nullptr, 0,
+                                               0, 1, nullptr,
                                                /*traced=*/false);
   ChaosOutcome baseC = chaos::runChaosCampaign(planC.profile, planC.seed, 6,
-                                               0, 0, 1, nullptr, 0,
+                                               0, 1, nullptr,
                                                /*traced=*/false);
 
   ip::MultiTenantProviderServer::Config cfg;
