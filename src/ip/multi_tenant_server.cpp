@@ -20,34 +20,6 @@ namespace vcad::ip {
 
 namespace {
 
-bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, buf + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t put = 0;
-  while (put < n) {
-    const ssize_t w = ::send(fd, buf + put, n - put, MSG_NOSIGNAL);
-    if (w > 0) {
-      put += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 struct MtMetrics {
   obs::Registry::MetricId connections, framesServed, quotaRejected,
       shutdownRejected, tenantsSeen;
@@ -131,7 +103,9 @@ std::uint16_t MultiTenantProviderServer::listenTcp(std::uint16_t port) {
 void MultiTenantProviderServer::start() {
   if (listenFd_ < 0 || acceptThread_.joinable()) return;
   acceptThread_ = std::thread([this] { acceptLoop(); });
-  // Readiness handshake, same contract as ProviderSocketServer::start().
+  // Readiness handshake: don't return until the loop is actually in
+  // accept() territory, so callers can treat "start() returned" as "a
+  // connect will be served".
   std::unique_lock<std::mutex> lock(mutex_);
   statsCv_.wait(lock, [this] { return accepting_ || stopping_.load(); });
 }
@@ -275,7 +249,7 @@ bool MultiTenantProviderServer::writeReply(
   const std::vector<std::uint8_t> frame =
       net::encodeResponseFrame(header, body);
   std::lock_guard<std::mutex> lock(conn->writeMutex);
-  return writeFully(conn->fd, frame.data(), frame.size());
+  return net::writeFully(conn->fd, frame.data(), frame.size());
 }
 
 void MultiTenantProviderServer::acceptLoop() {
@@ -334,7 +308,9 @@ void MultiTenantProviderServer::serveConnection(
     std::shared_ptr<Connection> conn) {
   std::vector<std::uint8_t> headerBytes(net::kRequestHeaderBytes);
   for (;;) {
-    if (!readFully(conn->fd, headerBytes.data(), headerBytes.size())) break;
+    if (!net::readFully(conn->fd, headerBytes.data(), headerBytes.size())) {
+      break;
+    }
     net::RequestFrameHeader h;
     if (!net::decodeRequestFrameHeader(headerBytes.data(), headerBytes.size(),
                                        h)) {
@@ -348,7 +324,7 @@ void MultiTenantProviderServer::serveConnection(
     }
     std::vector<std::uint8_t> payload(h.payloadBytes);
     if (h.payloadBytes != 0 &&
-        !readFully(conn->fd, payload.data(), h.payloadBytes)) {
+        !net::readFully(conn->fd, payload.data(), h.payloadBytes)) {
       break;
     }
 

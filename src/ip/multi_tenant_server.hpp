@@ -30,6 +30,11 @@
 //   - Sheds (TooManyPending/Overloaded) are timing-dependent, but the
 //     client retry machinery makes them invisible to coverage/fees — the
 //     chaos suite proves that.
+//
+// A single-tenant provider is this server with every client on the
+// anonymous tenant 0. An endpoint that needs one request in flight at a
+// time (unsynchronized state, a deterministic request counter) gets it
+// from Config::queue.workers = 1.
 #pragma once
 
 #include <array>

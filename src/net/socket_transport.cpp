@@ -7,45 +7,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 
 namespace vcad::net {
-
-namespace {
-
-/// Reads exactly n bytes; false on EOF/error. Retries EINTR.
-bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, buf + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-/// Writes exactly n bytes; false on error. Retries EINTR and short writes.
-bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t put = 0;
-  while (put < n) {
-    const ssize_t w = ::send(fd, buf + put, n - put, MSG_NOSIGNAL);
-    if (w > 0) {
-      put += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 SocketTransport::SocketTransport(int fd, std::string peerName)
     : fd_(fd), peer_(std::move(peerName)) {

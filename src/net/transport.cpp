@@ -1,5 +1,10 @@
 #include "net/transport.hpp"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
+
 namespace vcad::net {
 
 namespace {
@@ -121,6 +126,34 @@ bool decodeResponseFrameHeader(const std::uint8_t* data, std::size_t size,
   out.serverCpuNanos = getU64(data + 16);
   out.payloadBytes = getU32(data + 24);
   return out.payloadBytes <= kMaxFramePayloadBytes;
+}
+
+bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::read(fd, buf + got, n - got);
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+      continue;
+    }
+    if (r < 0 && errno == EINTR) continue;
+    return false;
+  }
+  return true;
+}
+
+bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
+  std::size_t put = 0;
+  while (put < n) {
+    const ssize_t w = ::send(fd, buf + put, n - put, MSG_NOSIGNAL);
+    if (w > 0) {
+      put += static_cast<std::size_t>(w);
+      continue;
+    }
+    if (w < 0 && errno == EINTR) continue;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace vcad::net

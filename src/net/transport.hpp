@@ -118,6 +118,13 @@ bool decodeRequestFrameHeader(const std::uint8_t* data, std::size_t size,
 bool decodeResponseFrameHeader(const std::uint8_t* data, std::size_t size,
                                ResponseFrameHeader& out);
 
+/// Blocking stream-socket I/O for the framed backends. readFully reads
+/// exactly n bytes (false on EOF or error); writeFully writes exactly n
+/// bytes with MSG_NOSIGNAL (false on error). Both retry EINTR and short
+/// transfers.
+bool readFully(int fd, std::uint8_t* buf, std::size_t n);
+bool writeFully(int fd, const std::uint8_t* buf, std::size_t n);
+
 /// What one awaited response frame delivered.
 struct TransportReply {
   bool delivered = false;  // a frame for this request id arrived in time

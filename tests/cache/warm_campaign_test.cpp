@@ -20,8 +20,8 @@
 #include "fault/dictionary.hpp"
 #include "fault/virtual_sim.hpp"
 #include "gate/generators.hpp"
+#include "ip/multi_tenant_server.hpp"
 #include "ip/provider_server.hpp"
-#include "ip/provider_socket.hpp"
 #include "ip/remote_component.hpp"
 #include "net/socket_transport.hpp"
 
@@ -273,12 +273,18 @@ TEST(WarmCampaign, LoopbackAndSocketBackendsCountCachesIdentically) {
   Rig loopWarm(loopServer, /*seed=*/22);
   const CampaignResult loopWarmRes = loopWarm.runCampaign(pats);
 
-  // Socket lane: the same provider config served over a Unix socket.
+  // Socket lane: the same provider config served over a Unix socket. The
+  // front end takes ownership of the provider on the first frame (tenant
+  // 0); the rigs keep a reference to it as their public-part source.
   auto sockStore = cache::ResultStore::inMemory();
-  ip::ProviderServer sockServer("provider.host", nullptr);
+  auto sockServerOwned =
+      std::make_unique<ip::ProviderServer>("provider.host", nullptr);
+  ip::ProviderServer& sockServer = *sockServerOwned;
   registerMultiplier(sockServer);
   sockServer.setResultStore(sockStore);
-  ip::ProviderSocketServer front(sockServer);
+  ip::MultiTenantProviderServer front(
+      [&sockServerOwned](ip::TenantId) { return std::move(sockServerOwned); },
+      ip::MultiTenantProviderServer::Config{});
   const std::string path =
       "cache_parity_" + std::to_string(::getpid()) + ".sock";
   ASSERT_TRUE(front.listenUnix(path));

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -15,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "ip/provider_socket.hpp"
 #include "net/socket_transport.hpp"
 #include "rmi/loopback_transport.hpp"
 
@@ -372,6 +372,80 @@ TEST(MultiTenantServer, QueueVerdictsSurfaceAsTypedFrameStatuses) {
   server.stop();
 }
 
+// --- one request in flight -------------------------------------------------
+
+/// Echo shard that records the peak number of dispatches running at once.
+/// Each dispatch lingers for a millisecond so overlapping ones are caught.
+class PeakConcurrencyShard : public rmi::ServerEndpoint {
+ public:
+  rmi::Response dispatch(const rmi::Request& request) override {
+    const int running = active_.fetch_add(1) + 1;
+    int peak = peak_.load();
+    while (running > peak && !peak_.compare_exchange_weak(peak, running)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++dispatched_;
+    active_.fetch_sub(1);
+    rmi::Response r;
+    rmi::Args args = request.args;
+    r.payload.writeWord(args.takeWord());
+    return r;
+  }
+  std::string hostName() const override { return "peak.host"; }
+  int peak() const { return peak_.load(); }
+  int dispatched() const { return dispatched_.load(); }
+
+ private:
+  std::atomic<int> active_{0};
+  std::atomic<int> peak_{0};
+  std::atomic<int> dispatched_{0};
+};
+
+TEST(MultiTenantServer, OneQueueWorkerKeepsOneDispatchInFlight) {
+  // queue.workers = 1 is the one-in-flight guarantee an endpoint with
+  // unsynchronized state relies on (the two-process chaos provider's
+  // restart-after-N counter): frames pipelined from several connections
+  // to one tenant still reach its shard one at a time.
+  auto shardOwned = std::make_unique<PeakConcurrencyShard>();
+  PeakConcurrencyShard& shard = *shardOwned;
+  MultiTenantProviderServer::Config cfg;
+  cfg.queue.workers = 1;
+  MultiTenantProviderServer server(
+      [&shardOwned](TenantId) { return std::move(shardOwned); }, cfg);
+  const std::uint16_t port = server.listenTcp(0);
+  ASSERT_NE(port, 0);
+  server.start();
+
+  constexpr int kConnections = 3;
+  constexpr int kFramesPerConnection = 8;
+  std::vector<std::unique_ptr<net::SocketTransport>> wires;
+  for (int c = 0; c < kConnections; ++c) {
+    wires.push_back(net::SocketTransport::connectTcp("127.0.0.1", port));
+    ASSERT_NE(wires.back(), nullptr);
+  }
+  net::RequestFrameHeader h;
+  h.methodId = static_cast<std::uint32_t>(rmi::MethodId::EvalFunction);
+  h.priority = net::JobPriority::Compute;
+  h.tenantId = 1;
+  // Every frame is on the wire before any reply is awaited.
+  for (std::uint64_t id = 1; id <= kFramesPerConnection; ++id) {
+    for (const auto& wire : wires) {
+      h.requestId = id;
+      wire->send(h, sealedEchoRequest(id));
+    }
+  }
+  for (const auto& wire : wires) {
+    for (std::uint64_t id = 1; id <= kFramesPerConnection; ++id) {
+      net::TransportReply r = wire->awaitReply(id, 5.0);
+      ASSERT_TRUE(r.delivered) << "request " << id;
+      EXPECT_EQ(r.status, net::FrameStatus::Ok) << "request " << id;
+    }
+  }
+  EXPECT_EQ(shard.dispatched(), kConnections * kFramesPerConnection);
+  EXPECT_EQ(shard.peak(), 1);
+  server.stop();
+}
+
 // --- satellite: shed accounting is uniform across backends -----------------
 
 TEST(ShedUniformity, LoopbackAndSocketBackendsCountShedsIdentically) {
@@ -390,32 +464,45 @@ TEST(ShedUniformity, LoopbackAndSocketBackendsCountShedsIdentically) {
   EXPECT_TRUE(loopCh.wait(gated).ok());
   const rmi::ChannelStats loop = loopCh.stats();
 
-  // Socket backend: admission cap on the provider socket front end. The
-  // slot is occupied over a separate raw connection — the socket server
-  // dispatches inline on the occupying connection's reader thread, so the
-  // shed probe must arrive on its own connection to be seen at all.
-  GatedShard sockShard;
-  ProviderSocketServer server(sockShard);
+  // Socket backend: one queue worker and a one-slot lane for the probe's
+  // priority. A gated frame occupies the worker and a second frame fills
+  // the lane slot, so every attempt of the probe call is shed.
+  const net::JobPriority lane =
+      rmi::priorityFor(rmi::MethodId::EvalFunction);
+  auto sockShardOwned = std::make_unique<GatedShard>();
+  GatedShard& sockShard = *sockShardOwned;
+  MultiTenantProviderServer::Config cfg;
+  cfg.queue.workers = 1;
+  cfg.queue.perPriorityDepth[static_cast<std::size_t>(lane)] = 1;
+  MultiTenantProviderServer server(
+      [&sockShardOwned](TenantId) { return std::move(sockShardOwned); }, cfg);
   const std::uint16_t port = server.listenTcp(0);
   ASSERT_NE(port, 0);
-  server.setMaxConcurrentDispatches(1);
   server.start();
   auto occupier = net::SocketTransport::connectTcp("127.0.0.1", port);
   ASSERT_NE(occupier, nullptr);
   net::RequestFrameHeader h;
   h.methodId = static_cast<std::uint32_t>(rmi::MethodId::EvalFunction);
+  h.priority = lane;
   h.requestId = 900;
   occupier->send(h, sealedEchoRequest(0xF0));
-  sockShard.awaitEntered(1);  // the only slot is now occupied
+  sockShard.awaitEntered(1);  // the only worker is now occupied
+  h.requestId = 901;
+  occupier->send(h, sealedEchoRequest(0xF2));
+  while (server.queueStats().enqueued < 2) {
+    std::this_thread::yield();  // the lane's only slot is now occupied
+  }
   auto transport = net::SocketTransport::connectTcp("127.0.0.1", port);
   ASSERT_NE(transport, nullptr);
   rmi::RmiChannel sockCh(std::move(transport), net::NetworkProfile::lan());
   rmi::Response sockRejected = sockCh.call(echoRequest(0xF1));
   EXPECT_EQ(sockRejected.status, rmi::Status::TransportFailure);
   sockShard.release();
-  net::TransportReply fin = occupier->awaitReply(900, 5.0);
-  EXPECT_TRUE(fin.delivered);
-  EXPECT_EQ(fin.status, net::FrameStatus::Ok);
+  for (std::uint64_t id : {900, 901}) {
+    net::TransportReply fin = occupier->awaitReply(id, 5.0);
+    EXPECT_TRUE(fin.delivered) << "request " << id;
+    EXPECT_EQ(fin.status, net::FrameStatus::Ok) << "request " << id;
+  }
   const rmi::ChannelStats sock = sockCh.stats();
   server.stop();
 
@@ -436,7 +523,7 @@ TEST(ShedUniformity, LoopbackAndSocketBackendsCountShedsIdentically) {
   EXPECT_EQ(sock.quotaRejections, 0u);
   // And the server-side counters saw the same thing.
   EXPECT_EQ(loopback.shedRequests(), budget);
-  EXPECT_EQ(server.stats().shedRequests, budget);
+  EXPECT_EQ(server.stats().shedTooManyPending, budget);
 }
 
 TEST(MultiTenantServer, ConnectionCapLimitsOneTenantNotItsNeighbours) {

@@ -19,10 +19,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "integration/matrix_harness.hpp"
-#include "ip/provider_socket.hpp"
+#include "ip/multi_tenant_server.hpp"
 #include "obs/trace.hpp"
 #include "rmi/chaos_harness.hpp"
 
@@ -95,8 +96,19 @@ int main(int argc, char** argv) {
   } else {
     chaos::registerChaosMultiplier(server);
   }
-  chaos::RestartingEndpoint endpoint(server, restartAfter);
-  ip::ProviderSocketServer socket(endpoint, nullptr);
+  // Every client sends the anonymous tenant 0 under the default, unlimited
+  // quota, so the front end builds exactly one RestartingEndpoint. One
+  // queue worker keeps one request in flight: the endpoint's restart
+  // counter is a plain counter, and "restart after the N-th request" must
+  // not depend on scheduling.
+  ip::MultiTenantProviderServer::Config config;
+  config.queue.workers = 1;
+  ip::MultiTenantProviderServer socket(
+      [&server, restartAfter](ip::TenantId) {
+        return std::make_unique<chaos::RestartingEndpoint>(server,
+                                                           restartAfter);
+      },
+      config);
   if (!socket.listenUnix(socketPath)) {
     std::fprintf(stderr, "failed to listen on %s\n", socketPath.c_str());
     return 1;
