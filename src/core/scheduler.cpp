@@ -142,7 +142,7 @@ void Scheduler::setOutputOverride(const Module& module,
           "the module");
     }
   }
-  overrides_[&module] = std::move(outputs);
+  overrides_[&module] = OverrideEntry{std::move(outputs), false};
 }
 
 void Scheduler::clearOutputOverride(const Module& module) {
@@ -151,10 +151,17 @@ void Scheduler::clearOutputOverride(const Module& module) {
 
 void Scheduler::clearAllOverrides() { overrides_.clear(); }
 
-const std::vector<Scheduler::OutputOverride>* Scheduler::findOverride(
-    const Module& module) const {
+bool Scheduler::applyOverride(Module& module, SimContext& ctx) {
   auto it = overrides_.find(&module);
-  return it != overrides_.end() ? &it->second : nullptr;
+  if (it == overrides_.end()) return false;
+  OverrideEntry& entry = it->second;
+  if (!entry.fired) {
+    entry.fired = true;
+    for (const OutputOverride& o : entry.outputs) {
+      module.emit(ctx, *o.port, o.value);
+    }
+  }
+  return true;
 }
 
 }  // namespace vcad

@@ -12,8 +12,9 @@
 //
 // The scheduler also implements the *output override* hook used by virtual
 // fault simulation: the simulation controller can replace a module's event
-// handling with a function that assigns a fixed (faulty) configuration to
-// the module's outputs regardless of its inputs.
+// handling with a forced assignment of a fixed (faulty) configuration to
+// the module's outputs regardless of its inputs. The forced outputs are
+// driven once per run, on the first signal event that reaches the module.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +58,8 @@ class Scheduler {
 
   SimTime now() const { return now_; }
 
-  /// Returns the scheduler to its just-constructed state for reuse by a
-  /// pooled run: drains pending tokens, drops output overrides, rewinds
+  /// Returns the scheduler to its just-constructed state for reuse by the
+  /// next run: drains pending tokens, drops output overrides, rewinds
   /// time, and renews the slot generation so every connector value and
   /// module state written by the previous run reads as all-X / empty again
   /// — no traversal of the design needed. Owner-thread only.
@@ -99,22 +100,27 @@ class Scheduler {
 
   // --- fault-injection support -------------------------------------------
 
-  /// One forced output assignment: when any signal event reaches `module`,
-  /// the scheduler drives `value` on `port` instead of invoking the module's
-  /// own event handling.
+  /// One forced output assignment: signal events reaching `module` no
+  /// longer invoke its own event handling; the first of them drives `value`
+  /// on `port`. The forced value never changes, so driving it again on
+  /// later events would only repeat the same write downstream.
   struct OutputOverride {
     Port* port;
     Word value;
   };
 
+  /// Installs (or replaces) the override of `module` and arms it: the next
+  /// signal event reaching the module drives `outputs`.
   void setOutputOverride(const Module& module,
                          std::vector<OutputOverride> outputs);
   void clearOutputOverride(const Module& module);
   void clearAllOverrides();
 
-  /// Used by SignalToken::deliver: returns the override for `module`, or
-  /// nullptr when the module behaves normally under this scheduler.
-  const std::vector<OutputOverride>* findOverride(const Module& module) const;
+  /// Used by SignalToken::deliver. Returns false when `module` behaves
+  /// normally under this scheduler. Otherwise returns true, after driving
+  /// the forced outputs if this is the first signal event to reach the
+  /// module since setOutputOverride().
+  bool applyOverride(Module& module, SimContext& ctx);
 
  private:
   struct Entry {
@@ -145,7 +151,11 @@ class Scheduler {
   const SetupController* setup_ = nullptr;
   LogSink* trace_ = nullptr;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_map<const Module*, std::vector<OutputOverride>> overrides_;
+  struct OverrideEntry {
+    std::vector<OutputOverride> outputs;
+    bool fired = false;  // outputs already driven in this run
+  };
+  std::unordered_map<const Module*, OverrideEntry> overrides_;
 };
 
 }  // namespace vcad

@@ -33,14 +33,9 @@ void SignalToken::deliver(SimContext& ctx) {
   }
   Module& m = target_->module();
   // Fault-injection hook: if the simulation controller installed an output
-  // override for this module on this scheduler, force the faulty output
-  // configuration instead of executing the module's event handling.
-  if (const auto* ov = ctx.scheduler.findOverride(m)) {
-    for (const auto& o : *ov) {
-      m.emit(ctx, *o.port, o.value);
-    }
-    return;
-  }
+  // override for this module on this scheduler, the forced faulty output
+  // configuration replaces the module's event handling.
+  if (ctx.scheduler.applyOverride(m, ctx)) return;
   m.processInputEvent(*this, ctx);
 }
 

@@ -136,4 +136,20 @@ std::ostream& operator<<(std::ostream& os, const Word& w) {
   return os << w.toString();
 }
 
+std::size_t WordHash::operator()(const Word& w) const noexcept {
+  // splitmix64 finalizer over each plane, folded in turn.
+  auto mix = [](std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  std::uint64_t h = mix(static_cast<std::uint64_t>(w.width()));
+  h = mix(h ^ w.valuePlane());
+  h = mix(h ^ w.knownPlane());
+  h = mix(h ^ w.zPlane());
+  return static_cast<std::size_t>(h);
+}
+
 }  // namespace vcad

@@ -41,6 +41,10 @@ class Word {
   /// True iff every bit is a strong 0/1.
   bool isFullyKnown() const;
 
+  /// True iff every bit is X (no strong bit, no Z). A zero-width word is
+  /// all-X.
+  bool isAllX() const { return known_ == 0 && zmask_ == 0; }
+
   /// Unsigned integer value. Precondition: isFullyKnown().
   std::uint64_t toUint() const;
 
@@ -84,5 +88,10 @@ class Word {
 };
 
 std::ostream& operator<<(std::ostream& os, const Word& w);
+
+/// Hash for unordered containers keyed by Word; consistent with ==.
+struct WordHash {
+  std::size_t operator()(const Word& w) const noexcept;
+};
 
 }  // namespace vcad

@@ -256,11 +256,18 @@ Word RemoteComponent::gatherInputs(const SimContext& ctx) const {
   return w;
 }
 
-void RemoteComponent::emitOutputs(SimContext& ctx, const Word& outs) {
+void RemoteComponent::emitOutputs(SimContext& ctx, State& st,
+                                  const Word& outs) {
+  if (st.scheduledAllX.empty()) st.scheduledAllX.assign(outPorts_.size(), true);
   int bit = 0;
-  for (Port* p : outPorts_) {
-    emit(ctx, *p, outs.slice(bit, p->width()));
-    bit += p->width();
+  for (std::size_t i = 0; i < outPorts_.size(); ++i) {
+    Port& p = *outPorts_[i];
+    const Word v = outs.slice(bit, p.width());
+    bit += p.width();
+    const bool allX = v.isAllX();
+    if (allX && st.scheduledAllX[i]) continue;
+    st.scheduledAllX[i] = allX;
+    emit(ctx, p, v);
   }
 }
 
@@ -317,20 +324,20 @@ void RemoteComponent::processSelfEvent(const SelfToken&, SimContext& ctx) {
         provider_->call(MethodId::EvalFunction, instance_, std::move(args));
     if (!resp.ok()) {
       ++remoteErrors_;
-      emitOutputs(ctx, Word::allX(outWidth_));
+      emitOutputs(ctx, st, Word::allX(outWidth_));
       return;
     }
-    emitOutputs(ctx, resp.payload.readWord());
+    emitOutputs(ctx, st, resp.payload.readWord());
     return;
   }
 
   // EstimatorRemote: public part computes functionality locally.
   if (config_.collectPower) recordPattern(st, inputs);
   if (!inputs.isFullyKnown()) {
-    emitOutputs(ctx, Word::allX(outWidth_));
+    emitOutputs(ctx, st, Word::allX(outWidth_));
     return;
   }
-  emitOutputs(ctx, publicPart_.functional(inputs, *sandbox_));
+  emitOutputs(ctx, st, publicPart_.functional(inputs, *sandbox_));
 }
 
 std::optional<double> RemoteComponent::finishPowerEstimation(

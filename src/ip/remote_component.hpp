@@ -170,6 +170,14 @@ class RemoteComponent : public Module {
   /// component defers its (possibly remote) evaluation with a zero-delay
   /// self token, so simultaneous operand updates trigger exactly one
   /// evaluation — one pattern, one RMI call.
+  ///
+  /// Every evaluation emits each output port's slice of the result, repeats
+  /// included, except an all-X slice on a port whose last value scheduled
+  /// in this run is all-X as well (or that has none yet): that emission
+  /// would only wake the downstream blocks to re-evaluate the same unknown
+  /// inputs. The comparison is with the driver-side scheduled value, not
+  /// the connector's current one, so an X that follows a still-pending
+  /// known value does go out.
   void processInputEvent(const SignalToken& token, SimContext& ctx) override;
   void processSelfEvent(const SelfToken& token, SimContext& ctx) override;
 
@@ -196,10 +204,13 @@ class RemoteComponent : public Module {
     double powerWeightedSum = 0.0;
     double powerWeight = 0.0;
     std::vector<std::future<rmi::Response>> pending;
+    /// Per output port: the value last scheduled on it in this run is
+    /// all-X. Sized on the first emission; a fresh run starts all-X.
+    std::vector<bool> scheduledAllX;
   };
 
   Word gatherInputs(const SimContext& ctx) const;
-  void emitOutputs(SimContext& ctx, const Word& outs);
+  void emitOutputs(SimContext& ctx, State& st, const Word& outs);
   void recordPattern(State& st, const Word& inputs);
   void harvest(State& st, rmi::Response resp);
 

@@ -225,6 +225,72 @@ TEST(Scheduler, OutputOverrideReplacesEventHandling) {
   EXPECT_EQ(probe.received[1].second.scalar(), Logic::L0);
 }
 
+TEST(Scheduler, OutputOverrideDrivesItsForcedOutputsOncePerArming) {
+  // Three inputs; the module's own handling forwards each arriving value.
+  class Merge3 : public Module {
+   public:
+    Merge3(std::string name, Connector& a, Connector& b, Connector& c,
+           Connector& out)
+        : Module(std::move(name)) {
+      in_[0] = &addInput("a", a);
+      in_[1] = &addInput("b", b);
+      in_[2] = &addInput("c", c);
+      out_ = &addOutput("out", out);
+    }
+    void processInputEvent(const SignalToken& t, SimContext& ctx) override {
+      emit(ctx, *out_, t.value());
+    }
+    Port* in_[3];
+    Port* out_;
+  };
+
+  BitConnector a, b, c, cout;
+  Merge3 m("m", a, b, c, cout);
+  Probe probe("probe", cout);
+  Scheduler s;
+  const Word one = Word::fromLogic(Logic::L1);
+  const Word zero = Word::fromLogic(Logic::L0);
+  auto driveAllInputs = [&] {
+    for (std::size_t i = 0; i < 3; ++i) {
+      s.schedule(std::make_unique<SignalToken>(*m.in_[i], one),
+                 static_cast<SimTime>(i));
+    }
+    s.run();
+  };
+
+  // Three input events, one forced event downstream.
+  s.setOutputOverride(m, {{m.out_, zero}});
+  driveAllInputs();
+  ASSERT_EQ(probe.received.size(), 1u);
+  EXPECT_EQ(probe.received[0].first, 0u);
+  EXPECT_EQ(probe.received[0].second, zero);
+
+  // Fired: later input events are absorbed until the override is re-armed.
+  driveAllInputs();
+  EXPECT_EQ(probe.received.size(), 1u);
+  s.setOutputOverride(m, {{m.out_, zero}});
+  driveAllInputs();
+  ASSERT_EQ(probe.received.size(), 2u);
+  EXPECT_EQ(probe.received[1].second, zero);
+
+  // reset() drops the override: the module handles its inputs again, and a
+  // fresh override fires once more.
+  s.reset();
+  driveAllInputs();
+  ASSERT_EQ(probe.received.size(), 5u);
+  EXPECT_EQ(probe.received[4].second, one);
+  s.setOutputOverride(m, {{m.out_, zero}});
+  driveAllInputs();
+  ASSERT_EQ(probe.received.size(), 6u);
+  EXPECT_EQ(probe.received[5].second, zero);
+
+  // Cleared: every input event reaches the module's own handling.
+  s.clearOutputOverride(m);
+  driveAllInputs();
+  ASSERT_EQ(probe.received.size(), 9u);
+  for (std::size_t i = 6; i < 9; ++i) EXPECT_EQ(probe.received[i].second, one);
+}
+
 TEST(Scheduler, OverrideIsPerScheduler) {
   class Forward : public Module {
    public:

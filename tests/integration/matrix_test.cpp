@@ -14,9 +14,11 @@
 #include <tuple>
 #include <vector>
 
+#include "core/wiring.hpp"
 #include "fault/serial_sim.hpp"
 #include "gate/netlist_io.hpp"
 #include "integration/matrix_harness.hpp"
+#include "obs/trace.hpp"
 
 namespace vcad::matrix {
 namespace {
@@ -173,6 +175,81 @@ TEST(MatrixOracle, CombOracleMatchesFlatSerialTruth) {
   EXPECT_EQ(oracle.result.detectedAfterPattern, truth.detectedAfterPattern)
       << "oracle diverges from flat truth for " << spec.family.name()
       << "\nnetlist:\n" << gate::netlistToString(flat, spec.family.name());
+}
+
+// --- event budget ----------------------------------------------------------
+
+/// The "events" arg of a campaign span (-1 when absent).
+double eventsArg(const obs::TraceEvent& e) {
+  for (std::size_t i = 0; i < e.argCount; ++i) {
+    if (std::string(e.args[i].key) == "events") return e.args[i].value;
+  }
+  return -1.0;
+}
+
+/// Every run of a remote cone campaign dispatches about one event per
+/// connector write. Each connector of a run carries one value once its
+/// drivers are known, so a run is bounded by the design's structure: one
+/// event per primary-input injection, per block-input arrival plus the
+/// block's wake-up for it, per block output, per fanout branch and per
+/// primary-output latch. All-X waves between blocks, or a forced output
+/// driven again on each input event of the faulty block, break the bound.
+TEST(MatrixEvents, EveryRunStaysWithinTheStructuralEventBound) {
+  if constexpr (!obs::kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  CellSpec spec;
+  spec.family = {CircuitFamily::Cone, 2, 7};
+  spec.patternCount = 8;
+  const MatrixDesign d = makeMatrixDesign(spec.family);
+
+  std::size_t blockInputs = 0;
+  std::size_t blockOutputs = 0;
+  for (int b = 0; b < d.design.blockCount(); ++b) {
+    blockInputs += d.design.blockNetlist(b).inputCount();
+    blockOutputs += d.design.blockNetlist(b).outputCount();
+  }
+  // The backplane realization places the same fanout modules as the
+  // campaign's remote one.
+  const fault::BlockDesign::Instantiation inst = d.design.instantiate();
+  std::size_t branches = 0;
+  inst.circuit->visitLeaves([&](Module& m) {
+    if (const auto* fan = dynamic_cast<const Fanout*>(&m)) {
+      branches += fan->branchCount();
+    }
+  });
+  const double bound = static_cast<double>(
+      inst.piConns.size() + 2 * blockInputs + blockOutputs + branches +
+      inst.poConns.size());
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.setEnabled(true);
+  const CellResult cell = runCell(spec, d);
+  tracer.setEnabled(false);
+  std::size_t goldenRuns = 0;
+  std::uint64_t injections = 0;
+  for (const obs::TraceEvent& e : tracer.collect()) {
+    const std::string name = e.name;
+    if (name == "campaign.golden") {
+      // Batch size 1: one fault-free run per span.
+      ++goldenRuns;
+      EXPECT_GT(eventsArg(e), 0.0);
+      EXPECT_LE(eventsArg(e), bound);
+    } else if (name == "campaign.pattern") {
+      double runs = 0.0;
+      for (std::size_t i = 0; i < e.argCount; ++i) {
+        if (std::string(e.args[i].key) == "injections") runs = e.args[i].value;
+      }
+      injections += static_cast<std::uint64_t>(runs);
+      EXPECT_GE(eventsArg(e), 0.0);
+      EXPECT_LE(eventsArg(e), runs * bound);
+    }
+  }
+  tracer.clear();
+  EXPECT_EQ(goldenRuns, static_cast<std::size_t>(spec.patternCount));
+  EXPECT_EQ(injections, cell.result.injections);
+  EXPECT_GT(injections, 0u);
 }
 
 /// The sequential oracle must agree with local shadow machines over the

@@ -13,7 +13,10 @@
 namespace vcad::ip {
 namespace {
 
-void registerMultiplier(ProviderServer& server) {
+/// Registers the multiplier; `evals`, when given, counts every evaluation
+/// of its public functional model.
+void registerMultiplier(ProviderServer& server,
+                        std::shared_ptr<std::size_t> evals = nullptr) {
   IpComponentSpec spec;
   spec.name = "MultFastLowPower";
   spec.minWidth = 2;
@@ -30,9 +33,10 @@ void registerMultiplier(ProviderServer& server) {
         return std::make_shared<const gate::Netlist>(
             gate::makeArrayMultiplier(static_cast<int>(w)));
       },
-      [](std::uint64_t w) {
+      [evals](std::uint64_t w) {
         PublicPart pub;
-        pub.functional = [w](const Word& in, const rmi::Sandbox&) {
+        pub.functional = [w, evals](const Word& in, const rmi::Sandbox&) {
+          if (evals) ++*evals;
           const int width = static_cast<int>(w);
           const Word a = in.slice(0, width);
           const Word b = in.slice(width, width);
@@ -81,6 +85,121 @@ struct Figure2 {
     out = &c.make<rtl::PrimaryOutput>("OUT", *O);
   }
 };
+
+/// Estimator-remote multipliers on the paper's channel, driven straight
+/// from injected primary inputs.
+struct MultRig {
+  LogSink log;
+  ProviderServer server{"provider.host.name", &log};
+  rmi::RmiChannel channel{server, net::NetworkProfile::ideal(), &log};
+  ProviderHandle provider{channel};
+  std::shared_ptr<std::size_t> evals = std::make_shared<std::size_t>(0);
+  Circuit c{"rig"};
+
+  MultRig() { registerMultiplier(server, evals); }
+
+  RemoteComponent& mult(const std::string& name, int width, Connector& a,
+                        Connector& b, Connector& o) {
+    RemoteConfig cfg;
+    cfg.collectPower = false;
+    return c.make<RemoteComponent>(
+        name, provider, "MultFastLowPower", static_cast<std::uint64_t>(width),
+        std::vector<std::pair<std::string, Connector*>>{{"a", &a}, {"b", &b}},
+        std::vector<std::pair<std::string, Connector*>>{{"o", &o}}, cfg);
+  }
+};
+
+bool anyAllXSample(const std::vector<rtl::PrimaryOutput::Sample>& h) {
+  for (const auto& s : h) {
+    if (s.value.isAllX()) return true;
+  }
+  return false;
+}
+
+TEST(RemoteComponent, ChainSendsNoAllXWaveDownstream) {
+  // UP = A*B feeds DOWN = UP*C. C comes straight from a primary input, so
+  // DOWN first evaluates with UP's product still X, one delta cycle before
+  // the product arrives. That evaluation must not emit its all-X result.
+  MultRig rig;
+  auto& A = rig.c.makeWord(2, "A");
+  auto& B = rig.c.makeWord(2, "B");
+  auto& P = rig.c.makeWord(4, "P");
+  auto& C = rig.c.makeWord(4, "C");
+  auto& O = rig.c.makeWord(8, "O");
+  rig.mult("UP", 2, A, B, P);
+  rig.mult("DOWN", 4, P, C, O);
+  auto& out = rig.c.make<rtl::PrimaryOutput>("OUT", O);
+
+  SimulationController sim(rig.c);
+  sim.inject(A, Word::fromUint(2, 3));
+  sim.inject(B, Word::fromUint(2, 2));
+  sim.inject(C, Word::fromUint(4, 5));
+  sim.start();
+  SimContext ctx{sim.scheduler(), nullptr};
+  // The public model ran once per block: DOWN's early evaluation saw an X
+  // operand and produced all-X without calling it.
+  EXPECT_EQ(*rig.evals, 2u);
+  const auto& h = out.history(ctx);
+  EXPECT_FALSE(anyAllXSample(h));
+  ASSERT_EQ(h.size(), 1u);
+  EXPECT_EQ(h[0].value, Word::fromUint(8, 30));
+}
+
+TEST(RemoteComponent, RepeatedKnownOutputIsReEmittedOnEveryEvaluation) {
+  // B = 0: every product is 0, yet each evaluation is a transaction that
+  // downstream observers count.
+  MultRig rig;
+  auto& A = rig.c.makeWord(4, "A");
+  auto& B = rig.c.makeWord(4, "B");
+  auto& O = rig.c.makeWord(8, "O");
+  rig.mult("MULT", 4, A, B, O);
+  auto& out = rig.c.make<rtl::PrimaryOutput>("OUT", O);
+
+  SimulationController sim(rig.c);
+  sim.inject(B, Word::fromUint(4, 0));
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    sim.inject(A, Word::fromUint(4, t + 1), 5 * t);
+  }
+  sim.start();
+  SimContext ctx{sim.scheduler(), nullptr};
+  EXPECT_EQ(*rig.evals, 4u);
+  EXPECT_EQ(out.sampleCount(ctx), *rig.evals);
+  for (const auto& sample : out.history(ctx)) {
+    EXPECT_EQ(sample.value, Word::fromUint(8, 0));
+  }
+}
+
+TEST(RemoteComponent, AllXAfterAKnownValueStillGoesOut) {
+  // The rule compares with what this run last scheduled on the port: after
+  // a known product, an X result is a change and must reach the output.
+  MultRig rig;
+  auto& A = rig.c.makeWord(4, "A");
+  auto& B = rig.c.makeWord(4, "B");
+  auto& O = rig.c.makeWord(8, "O");
+  rig.mult("MULT", 4, A, B, O);
+  auto& out = rig.c.make<rtl::PrimaryOutput>("OUT", O);
+
+  SimulationController sim(rig.c);
+  sim.inject(A, Word::fromUint(4, 2));
+  sim.inject(B, Word::fromUint(4, 3));
+  sim.inject(A, Word::allX(4), 5);
+  sim.start();
+  SimContext ctx{sim.scheduler(), nullptr};
+  const auto& h = out.history(ctx);
+  ASSERT_EQ(h.size(), 2u);
+  EXPECT_EQ(h[0].value, Word::fromUint(8, 6));
+  EXPECT_TRUE(h[1].value.isAllX());
+  EXPECT_TRUE(
+      O.value(sim.scheduler().slot(), sim.scheduler().slotGeneration())
+          .isAllX());
+
+  // The next run starts from all-X again: a fresh X result stays silent.
+  sim.reset();
+  sim.inject(A, Word::allX(4));
+  sim.start();
+  SimContext fresh{sim.scheduler(), nullptr};
+  EXPECT_EQ(out.sampleCount(fresh), 0u);
+}
 
 TEST(RemoteComponent, ErModeComputesLocallyAndMatchesProduct) {
   RemoteConfig cfg;
