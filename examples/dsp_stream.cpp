@@ -115,8 +115,9 @@ int main() {
   SimContext ctx{sim.scheduler(), nullptr};
 
   const auto power = gainStage.finishPowerEstimation(ctx);
-  std::printf("\nstreamed %zu samples; last scaled value %s\n",
-              out.sampleCount(ctx), out.last(ctx).toString().c_str());
+  const std::size_t samples = out.sampleCount(ctx);
+  std::printf("\nstreamed %zu samples; last scaled value %s\n", samples,
+              out.last(ctx).toString().c_str());
   std::printf("remote power estimate: %.3f mW; fees: %.2f cents\n",
               power.value_or(0.0),
               server.sessionFeesCents(provider.session()));
@@ -128,5 +129,13 @@ int main() {
   vcd.writeFile(path);
   std::printf("waveform written to %s (open with any VCD viewer)\n",
               path.c_str());
+
+  // Each of the stream's 64 steps is one evaluation of the remote gain
+  // stage, and each evaluation is one sample, whatever the backplane does
+  // with unknown values. The example's smoke test relies on this exit code.
+  if (samples != 64) {
+    std::fprintf(stderr, "expected 64 samples, streamed %zu\n", samples);
+    return 1;
+  }
   return 0;
 }
